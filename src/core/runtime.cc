@@ -1275,17 +1275,17 @@ CleanRuntime::join(ThreadContext &parent, ThreadHandle handle)
     // Join is a synchronization operation.
     try {
         parent.acquireTurn();
-        {
-            std::lock_guard<std::mutex> guard(r.joinMutex);
-            if (!r.done) {
-                kendo_->block(parent.state().tid);
-                r.joinerTid = static_cast<std::int32_t>(parent.state().tid);
-                mustWait = true;
-            } else {
-                kendo_->raiseTo(parent.state().tid, r.finalDetCount + 1);
-            }
-        }
+        std::lock_guard<std::mutex> guard(r.joinMutex);
+        if (r.done)
+            kendo_->raiseTo(parent.state().tid, r.finalDetCount + 1);
         kendo_->increment(parent.state().tid);
+        if (!r.done) {
+            // Counted before blocking: from here on only the child's
+            // finish handshake writes our slot.
+            kendo_->block(parent.state().tid);
+            r.joinerTid = static_cast<std::int32_t>(parent.state().tid);
+            mustWait = true;
+        }
     } catch (const ExecutionAborted &) {
         // Aborted runs still physically reap the thread below.
     } catch (const DeadlockError &) {

@@ -180,16 +180,20 @@ CleanCondVar::wait(ThreadContext &ctx, CleanMutex &m)
     const ThreadId tid = ctx.tid();
     std::atomic<bool> flag{false};
 
-    // Registration, blocking and the mutex release form one compound
-    // synchronization operation under a single deterministic turn.
+    // The mutex release, registration and blocking form one compound
+    // synchronization operation under a single deterministic turn. All
+    // of it happens under im_, so no signaler can slip in between, and
+    // the release (with its record) and the counter advance come before
+    // block: once blocked, only the signaler writes our slot. The
+    // release may throw (replay divergence), so it precedes registration.
     ctx.acquireTurn();
     {
         std::lock_guard<std::mutex> guard(im_);
+        m.releaseForWait(ctx);
+        kendo.increment(tid);
         waiters_.push_back({tid, &flag});
         kendo.block(tid);
     }
-    m.releaseForWait(ctx);
-    kendo.increment(tid);
 
     rt_.setPhase(ctx.record(), ThreadRecord::Phase::Blocked);
     SpinWait spin(rt_.config().watchdogMs);
@@ -322,15 +326,18 @@ CleanBarrier::arrive(ThreadContext &ctx)
             releaseWaitersLocked(ctx);
             // The releaser itself synchronizes with all parties.
             ctx.state().vc.joinFrom(releaseVc_);
-        } else {
+        }
+        kendo.increment(tid);
+        // The arrival published this thread's clock on the barrier; the
+        // matching acquire is recorded when the release clock is
+        // absorbed. A waiter counts and records before it blocks: once
+        // blocked, only the releaser writes its slot.
+        ctx.obsSyncRelease();
+        if (!last) {
             waiters_.push_back({tid, &flag});
             kendo.block(tid);
         }
     }
-    kendo.increment(tid);
-    // The arrival published this thread's clock on the barrier; the
-    // matching acquire is recorded when the release clock is absorbed.
-    ctx.obsSyncRelease();
     if (last) {
         ctx.obsSyncAcquire();
         return;

@@ -30,6 +30,7 @@ Kendo::activate(ThreadId slot, DetCount start)
     if (start > current)
         s.count.store(start, std::memory_order_relaxed);
     s.status.store(Status::Active, std::memory_order_release);
+    readmissions_.fetch_add(1, std::memory_order_release);
 }
 
 void
@@ -43,20 +44,22 @@ Kendo::tryTurn(ThreadId slot)
 {
     if (!enabled_)
         return true;
-    const Slot &self = slots_[slot];
-    const DetCount mine = self.count.load(std::memory_order_relaxed);
+    const DetCount mine = slots_[slot].count.load(std::memory_order_relaxed);
+    const std::uint64_t readmitted =
+        readmissions_.load(std::memory_order_acquire);
     for (ThreadId j = 0; j < maxSlots_; ++j) {
         if (j == slot)
             continue;
         const Slot &other = slots_[j];
         if (other.status.load(std::memory_order_acquire) != Status::Active)
             continue;
-        const DetCount theirs = other.count.load(std::memory_order_relaxed);
+        const DetCount theirs = other.count.load(std::memory_order_acquire);
         // Strict (count, tid) order; ties go to the smaller tid.
         if (theirs < mine || (theirs == mine && j < slot))
             return false;
     }
-    return true;
+    // A slot skipped above may have been re-admitted below us mid-scan.
+    return readmissions_.load(std::memory_order_acquire) == readmitted;
 }
 
 void
@@ -96,6 +99,7 @@ Kendo::unblock(ThreadId slot, DetCount resumeAt)
     if (resumeAt > current)
         s.count.store(resumeAt, std::memory_order_relaxed);
     s.status.store(Status::Active, std::memory_order_release);
+    readmissions_.fetch_add(1, std::memory_order_release);
 }
 
 void

@@ -18,10 +18,20 @@
  * with their counter raised above the waker's, which keeps the logical
  * order deterministic.
  *
- * Staleness is benign: a waiter that reads a stale (smaller) counter for
- * a peer only waits longer. Two threads can never both believe they hold
- * the turn, because that would require each to have observed the other's
- * counter above its own, and observed counters never exceed true ones.
+ * Staleness of a counter is benign: a waiter that reads a stale
+ * (smaller) counter for a peer only waits longer, because counters only
+ * grow and observed counters never exceed true ones.
+ *
+ * Staleness of a *status* is not. tryTurn reads the slots one at a time,
+ * so it can read slot i as Blocked (or Inactive), after which the turn
+ * holder W re-admits i (unblock, or activate on spawn) at a count below
+ * the scanner's, then advances past the scanner (or finishes) before the
+ * scan reaches W's slot. The scan then sees no smaller runnable peer,
+ * and the scanner and i hold the turn together. activate and unblock
+ * close this window by bumping a re-admission counter after they publish
+ * Active; tryTurn reads it before and after the scan and refuses the turn
+ * if it moved. Counter stores are release and tryTurn's loads acquire,
+ * so a scan that saw W advanced or finished also sees W's bump.
  */
 
 #ifndef CLEAN_DET_KENDO_H
@@ -96,7 +106,7 @@ class Kendo
             return;
         slots_[slot].count.store(
             slots_[slot].count.load(std::memory_order_relaxed) + n,
-            std::memory_order_relaxed);
+            std::memory_order_release);
     }
 
     /** Current deterministic counter of @p slot. */
@@ -129,15 +139,26 @@ class Kendo
             return;
         Slot &s = slots_[slot];
         if (value > s.count.load(std::memory_order_relaxed))
-            s.count.store(value, std::memory_order_relaxed);
+            s.count.store(value, std::memory_order_release);
     }
 
-    /** Excludes @p slot from the minimum (entering a blocking wait). */
+    /**
+     * Excludes @p slot from the minimum (entering a blocking wait).
+     *
+     * From this call until the matching unblock, only the waker writes
+     * the slot: increment and raiseTo are an unlocked load plus store,
+     * so an owner that advanced its own counter (or stamped an event
+     * with it) after block would race with the waker's unblock and leave
+     * a timing-dependent count. A blocking operation therefore does all
+     * of its own counting and recording first and calls block last,
+     * under the lock the waker takes to find it.
+     */
     void block(ThreadId slot);
 
     /**
      * Re-admits @p slot with counter max(current, resumeAt). Called by
-     * the waking thread while @p slot is still blocked.
+     * the waking thread while @p slot is still blocked; the blocked
+     * owner touches the slot again only after it has observed the wake.
      */
     void unblock(ThreadId slot, DetCount resumeAt);
 
@@ -168,6 +189,8 @@ class Kendo
     bool enabled_;
     ThreadId maxSlots_;
     Slot *slots_;
+    /** Bumped after every activate/unblock; see the file comment. */
+    alignas(64) std::atomic<std::uint64_t> readmissions_{0};
     std::uint64_t watchdogMs_ = 0;
     std::atomic<std::uint64_t> spins_{0};
 };

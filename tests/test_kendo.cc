@@ -160,6 +160,74 @@ TEST(Kendo, MutualExclusionOfTurns)
     EXPECT_EQ(violations.load(), 0);
 }
 
+TEST(Kendo, NoTurnIsGrantedAcrossReadmission)
+{
+    // The re-admission window of tryTurn (see kendo.h): the scanner S
+    // reads the sleeper Z (slot 0) as Blocked, the waker W (last slot)
+    // then re-admits Z below S and jumps far ahead, and S reads W only
+    // after the jump. S and Z must never hold the turn together. The
+    // wide slot table lengthens each scan, and the large W/S strides
+    // keep S above Z's resume point most of the time W wakes Z.
+    constexpr ThreadId kSlots = 256, kZ = 0, kS = 1, kW = kSlots - 1;
+    for (int trial = 0; trial < 10; ++trial) {
+        Kendo kendo(true, kSlots);
+        for (ThreadId t : {kZ, kS, kW})
+            kendo.activate(t, 0);
+        std::atomic<int> inside{0};
+        std::atomic<int> violations{0};
+        std::atomic<bool> zBlocked{false};
+        std::atomic<bool> zDone{false};
+        // Busy turn waits (no sleeping backoff) keep S scanning.
+        auto turn = [&](ThreadId t) {
+            while (!kendo.tryTurn(t))
+                std::this_thread::yield();
+        };
+        auto criticalSection = [&] {
+            if (inside.fetch_add(1) != 0)
+                violations.fetch_add(1);
+            for (int i = 0; i < 3000; ++i)
+                asm volatile("" ::: "memory");
+            inside.fetch_sub(1);
+        };
+        std::thread sleeper([&] {
+            for (int i = 0; i < 2000; ++i) {
+                turn(kZ);
+                criticalSection();
+                kendo.increment(kZ, 1);
+                kendo.block(kZ);
+                zBlocked.store(true);
+                while (!kendo.isActive(kZ))
+                    std::this_thread::yield();
+            }
+            turn(kZ);
+            zDone.store(true);
+            kendo.finish(kZ);
+        });
+        std::thread scanner([&] {
+            while (!zDone.load()) {
+                turn(kS);
+                criticalSection();
+                kendo.increment(kS, 300);
+            }
+            kendo.finish(kS);
+        });
+        std::thread waker([&] {
+            while (!zDone.load()) {
+                turn(kW);
+                criticalSection();
+                if (zBlocked.exchange(false))
+                    kendo.unblock(kZ, kendo.count(kW) + 1);
+                kendo.increment(kW, 1000);
+            }
+            kendo.finish(kW);
+        });
+        sleeper.join();
+        scanner.join();
+        waker.join();
+        EXPECT_EQ(violations.load(), 0) << "trial " << trial;
+    }
+}
+
 TEST(Kendo, TurnOrderIsDeterministic)
 {
     // Replay the same logical schedule twice; the order in which slots

@@ -228,16 +228,11 @@ TEST(Runtime, AbortUnwindsSiblings)
     CleanRuntime rt(smallConfig());
     auto *x = rt.heap().allocSharedArray<int>(4);
     // Two racing writers; a third well-behaved looper must unwind via
-    // ExecutionAborted rather than run to completion obliviously.
+    // ExecutionAborted rather than run to completion obliviously. The
+    // looper is spawned first: once the race is detected, a later
+    // spawn() throws ExecutionAborted into the caller (as in
+    // CleanEnv::parallel), which would end this test body early.
     std::atomic<bool> looperAborted{false};
-    auto racer1 = rt.spawn(rt.mainContext(), [&](ThreadContext &ctx) {
-        for (int i = 0; i < 100000; ++i)
-            ctx.write(&x[0], i);
-    });
-    auto racer2 = rt.spawn(rt.mainContext(), [&](ThreadContext &ctx) {
-        for (int i = 0; i < 100000; ++i)
-            ctx.write(&x[0], -i);
-    });
     auto looper = rt.spawn(rt.mainContext(), [&](ThreadContext &ctx) {
         try {
             for (long i = 0;; ++i)
@@ -246,6 +241,14 @@ TEST(Runtime, AbortUnwindsSiblings)
             looperAborted = true;
             throw;
         }
+    });
+    auto racer1 = rt.spawn(rt.mainContext(), [&](ThreadContext &ctx) {
+        for (int i = 0; i < 100000; ++i)
+            ctx.write(&x[0], i);
+    });
+    auto racer2 = rt.spawn(rt.mainContext(), [&](ThreadContext &ctx) {
+        for (int i = 0; i < 100000; ++i)
+            ctx.write(&x[0], -i);
     });
     rt.join(rt.mainContext(), racer1);
     rt.join(rt.mainContext(), racer2);

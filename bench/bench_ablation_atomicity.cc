@@ -38,7 +38,7 @@ main(int argc, char **argv)
             baseSpec(config, name, BackendKind::Native), config.repeats);
         auto casSpec = baseSpec(config, name, BackendKind::DetectOnly);
         auto lockedSpec = casSpec;
-        lockedSpec.runtime.atomicity = AtomicityMode::Locked;
+        lockedSpec.runtime.checker.atomicity = AtomicityMode::Locked;
         const double cas = timedSeconds(casSpec, config.repeats);
         const double locked = timedSeconds(lockedSpec, config.repeats);
         if (native <= 0 || cas <= 0 || locked <= 0) {

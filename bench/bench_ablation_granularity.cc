@@ -36,7 +36,7 @@ main(int argc, char **argv)
     for (const auto &name : config.workloads) {
         auto byteSpec = baseSpec(config, name, BackendKind::DetectOnly);
         auto wordSpec = byteSpec;
-        wordSpec.runtime.granuleLog2 = 2;
+        wordSpec.runtime.checker.granuleLog2 = 2;
         const double byteTime = timedSeconds(byteSpec, config.repeats);
         const double wordTime = timedSeconds(wordSpec, config.repeats);
         if (byteTime <= 0 || wordTime <= 0) {
@@ -57,7 +57,7 @@ main(int argc, char **argv)
                 "variant, byte-level pipeline):\n");
     auto dedupByte = baseSpec(config, "dedup", BackendKind::Clean);
     auto dedupWord = dedupByte;
-    dedupWord.runtime.granuleLog2 = 2;
+    dedupWord.runtime.checker.granuleLog2 = 2;
     const auto rb = runWorkload(dedupByte);
     const auto rw = runWorkload(dedupWord);
     std::printf("  byte granularity: %s\n",

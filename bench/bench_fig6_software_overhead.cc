@@ -58,7 +58,7 @@ main(int argc, char **argv)
             config.repeats);
         wl::RunSpec nbSpec =
             baseSpec(config, name, BackendKind::DetectOnly);
-        nbSpec.runtime.batch = false;
+        nbSpec.runtime.checker.batch = false;
         const double detectNb = timedSeconds(nbSpec, config.repeats);
         const double clean = timedSeconds(
             baseSpec(config, name, BackendKind::Clean), config.repeats);

@@ -33,7 +33,7 @@ main(int argc, char **argv)
     for (const auto &name : config.workloads) {
         auto vecSpec = baseSpec(config, name, BackendKind::DetectOnly);
         auto novecSpec = vecSpec;
-        novecSpec.runtime.vectorized = false;
+        novecSpec.runtime.checker.vectorized = false;
 
         const double novec = timedSeconds(novecSpec, config.repeats);
         const double vec = timedSeconds(vecSpec, config.repeats);

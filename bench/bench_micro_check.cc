@@ -26,8 +26,8 @@ constexpr std::size_t kSpan = 1 << 22;
 
 struct Fixture
 {
-    explicit Fixture(CheckerConfig config = {})
-        : shadow(kBase, kSpan), checker(config, shadow),
+    explicit Fixture(CheckerConfig config = {}, bool sampling = false)
+        : shadow(kBase, kSpan), checker(config, shadow, sampling),
           self(config.epoch, 0, 8), other(config.epoch, 1, 8)
     {
         self.vc.setClock(0, 1);
@@ -385,8 +385,7 @@ sloStreamLoop(benchmark::State &state, std::uint32_t level)
 {
     CheckerConfig config;
     config.batch = true;
-    config.sampling = kDetector;
-    Fixture f(config);
+    Fixture f(config, kDetector);
     if (kDetector)
         f.self.sample.configure(sloParams(level));
     constexpr std::size_t kRegion = 256 << 10;
@@ -443,8 +442,7 @@ sloStrideLoop(benchmark::State &state, std::uint32_t level)
 {
     CheckerConfig config;
     config.batch = true;
-    config.sampling = kDetector;
-    Fixture f(config);
+    Fixture f(config, kDetector);
     if (kDetector)
         f.self.sample.configure(sloParams(level));
     for (Addr a = kBase; a < kBase + kSpan; a += 64)

@@ -27,17 +27,6 @@
  *     many physical CPUs the host has — the honest scaling column on
  *     a small CI box.
  *
- * `BM_RuntimeDrain{Inline,Async}` is the --async-check ablation: one
- * app thread streaming through SFR boundaries with the drain retired
- * inline vs on the dedicated checker thread.
- *
- * The NUMA column: `ConflictLockFreeNuma` materialises every chunk
- * from the accessing thread (first-touch-local placement, the shipped
- * allocation policy), where plain `ConflictLockFree` pre-materialises
- * the working set from thread 0 (the placement the old design got by
- * accident). On a single-node host the two coincide; on a multi-node
- * machine the gap is the remote-access tax.
- *
  * Emits BENCH_scale.json via --benchmark_out; the 4-thread smoke of
  * the gated lanes is compared by check_perf.py --gate scale (per-access
  * ns, never wall time).
@@ -50,9 +39,7 @@
 #include <unordered_map>
 
 #include "core/race_check.h"
-#include "core/runtime.h"
 #include "core/sparse_shadow.h"
-#include "core/sync_objects.h"
 #include "core/thread_state.h"
 #include "sim/machine.h"
 #include "workloads/runner.h"
@@ -178,35 +165,12 @@ indexConflict(benchmark::State &state)
     static std::unique_ptr<Index> shadow;
     if (state.thread_index() == 0) {
         shadow = std::make_unique<Index>();
-        // Pre-materialise from thread 0 — the placement the old
-        // design got by accident (see the NUMA lane below).
+        // Pre-materialise from thread 0, so the timed loop measures
+        // lookups, not first-touch allocation.
         for (unsigned c = 0; c < 16; ++c)
             benchmark::DoNotOptimize(
                 shadow->slots(kBase + Addr{c} * kChunkBytes));
     }
-    unsigned i = 0;
-    for (auto _ : state) {
-        const Addr a = kBase + Addr{i % 16} * kChunkBytes +
-                       Addr{static_cast<unsigned>(state.thread_index())} *
-                           64;
-        benchmark::DoNotOptimize(shadow->slots(a));
-        ++i;
-    }
-    state.SetItemsProcessed(state.iterations());
-    if (state.thread_index() == 0)
-        shadow.reset();
-}
-
-/** The NUMA ablation: same conflict kernel, but each thread's first
- *  touch materialises chunks itself, so numa::allocLocal places them
- *  on the toucher's node. Single-node hosts: identical to the lane
- *  above; multi-node: the delta is the remote-chunk tax. */
-void
-indexConflictFirstTouch(benchmark::State &state)
-{
-    static std::unique_ptr<SparseShadow> shadow;
-    if (state.thread_index() == 0)
-        shadow = std::make_unique<SparseShadow>();
     unsigned i = 0;
     for (auto _ : state) {
         const Addr a = kBase + Addr{i % 16} * kChunkBytes +
@@ -250,11 +214,6 @@ BM_IndexConflictLockFree(benchmark::State &state)
 {
     indexConflict<SparseShadow>(state);
 }
-void
-BM_IndexConflictLockFreeNuma(benchmark::State &state)
-{
-    indexConflictFirstTouch(state);
-}
 
 #define CLEAN_SCALE_THREADS ThreadRange(1, 64)->UseRealTime()
 
@@ -264,7 +223,6 @@ BENCHMARK(BM_IndexStrideMutexShard)->CLEAN_SCALE_THREADS;
 BENCHMARK(BM_IndexStrideLockFree)->CLEAN_SCALE_THREADS;
 BENCHMARK(BM_IndexConflictMutexShard)->CLEAN_SCALE_THREADS;
 BENCHMARK(BM_IndexConflictLockFree)->CLEAN_SCALE_THREADS;
-BENCHMARK(BM_IndexConflictLockFreeNuma)->CLEAN_SCALE_THREADS;
 
 // ---------------------------------------------------------------------
 // Full batched checker over one shared SparseShadow.
@@ -319,51 +277,6 @@ BM_CheckerStreamBatch(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CheckerStreamBatch)->CLEAN_SCALE_THREADS;
-
-// ---------------------------------------------------------------------
-// --async-check ablation: inline vs checker-thread drain retirement.
-// ---------------------------------------------------------------------
-
-void
-runtimeDrainLane(benchmark::State &state, bool async)
-{
-    RuntimeConfig config;
-    config.maxThreads = 16;
-    config.heap.sharedBytes = std::size_t{64} << 20;
-    config.heap.privateBytes = std::size_t{16} << 20;
-    config.asyncCheck = async;
-    CleanRuntime rt(config);
-    constexpr unsigned kWords = 1 << 14; // 64 KiB: one drain window
-    auto *x = rt.heap().allocSharedArray<int>(kWords);
-    ThreadContext &main = rt.mainContext();
-    CleanMutex mu(rt);
-    for (unsigned i = 0; i < kWords; ++i)
-        main.write(&x[i], static_cast<int>(i));
-    for (auto _ : state) {
-        int sum = 0;
-        for (unsigned i = 0; i < kWords; ++i)
-            sum += main.read(&x[i]);
-        benchmark::DoNotOptimize(sum);
-        // SFR boundary: the drain (inline or handed to the checker
-        // thread) retires the whole buffered window here.
-        mu.lock(main);
-        mu.unlock(main);
-    }
-    state.SetItemsProcessed(state.iterations() * kWords);
-}
-
-void
-BM_RuntimeDrainInline(benchmark::State &state)
-{
-    runtimeDrainLane(state, false);
-}
-void
-BM_RuntimeDrainAsync(benchmark::State &state)
-{
-    runtimeDrainLane(state, true);
-}
-BENCHMARK(BM_RuntimeDrainInline);
-BENCHMARK(BM_RuntimeDrainAsync);
 
 // ---------------------------------------------------------------------
 // Timing-model lane: cores = trace threads, swept to 64.

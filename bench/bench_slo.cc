@@ -143,8 +143,8 @@ median(std::vector<double> v)
 void
 sampleKnobs(RunSpec &spec)
 {
-    spec.runtime.sample.windowLog2 = 8;
-    spec.runtime.sample.burstWindows = 1;
+    spec.runtime.checker.sample.windowLog2 = 8;
+    spec.runtime.checker.sample.burstWindows = 1;
     // Calibrate every 16th SFR instead of every 64th: at bench run
     // lengths the floor EWMA needs to interleave with the workload's
     // phases, or phase cost differences masquerade as overhead.

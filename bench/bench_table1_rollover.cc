@@ -56,7 +56,7 @@ main(int argc, char **argv)
 
     for (const auto &name : config.workloads) {
         auto narrowSpec = baseSpec(config, name, BackendKind::Clean);
-        narrowSpec.runtime.epoch = narrowEpoch;
+        narrowSpec.runtime.checker.epoch = narrowEpoch;
         narrowSpec.runtime.maxThreads =
             std::min<ThreadId>(narrowSpec.runtime.maxThreads,
                                narrowEpoch.maxThreads());

@@ -13,8 +13,6 @@
  *   --no-own-cache             disable the per-thread ownership cache
  *   --no-batch                 disable batched SFR-boundary read checks
  *   --batch-bytes=N            batched-read drain window (default 64 KiB)
- *   --async-check              retire batched drains on a dedicated
- *                              checker thread (DESIGN.md §16)
  */
 
 #ifndef CLEAN_BENCH_COMMON_H
@@ -84,37 +82,42 @@ baseSpec(const BenchConfig &config, const std::string &workload,
     spec.params.threads = config.threads;
     spec.params.scale = config.scale;
     spec.params.racy = racy;
-    spec.runtime.vectorized =
+    spec.runtime.checker.vectorized =
         !config.options.getBool("no-vectorize", false);
-    spec.runtime.fastPath =
+    spec.runtime.checker.fastPath =
         !config.options.getBool("no-fast-path", false);
-    spec.runtime.ownCache =
+    spec.runtime.checker.ownCache =
         !config.options.getBool("no-own-cache", false);
-    spec.runtime.batch = !config.options.getBool("no-batch", false);
-    spec.runtime.asyncCheck =
-        config.options.getBool("async-check", false);
-    spec.runtime.batchBytes = static_cast<std::size_t>(
+    spec.runtime.checker.batch = !config.options.getBool("no-batch", false);
+    spec.runtime.checker.batchBytes = static_cast<std::size_t>(
         config.options.getInt("batch-bytes",
                               static_cast<std::int64_t>(
-                                  spec.runtime.batchBytes)));
+                                  spec.runtime.checker.batchBytes)));
     spec.runtime.heap.sharedBytes = std::size_t{1} << 31;
     spec.runtime.heap.privateBytes = std::size_t{1} << 30;
     return spec;
 }
 
 /** Runs @p spec `repeats` times and returns the minimum wall time (the
- *  usual noise-robust estimator on a shared host). */
+ *  usual noise-robust estimator on a shared host), or -1 when a run
+ *  raced, hit the watchdog or faulted on its trace: such a run did not
+ *  finish the program, so its wall time is no measurement. */
 inline double
 timedSeconds(const wl::RunSpec &spec, unsigned repeats)
 {
     double best = 1e300;
     for (unsigned r = 0; r < repeats; ++r) {
         const auto result = wl::runWorkload(spec);
-        if (result.raceException) {
-            std::fprintf(stderr, "unexpected race in %s under %s: %s\n",
+        const std::string *failure =
+            result.raceException ? &result.raceMessage
+            : result.deadlock    ? &result.deadlockMessage
+            : result.traceFault  ? &result.traceFaultMessage
+                                 : nullptr;
+        if (failure != nullptr) {
+            std::fprintf(stderr, "unfinished run of %s under %s: %s\n",
                          spec.workload.c_str(),
                          wl::backendKindName(spec.backend),
-                         result.raceMessage.c_str());
+                         failure->c_str());
             return -1.0;
         }
         best = std::min(best, result.seconds);

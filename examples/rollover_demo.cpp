@@ -27,7 +27,7 @@ RuntimeConfig
 narrowClocks()
 {
     RuntimeConfig config;
-    config.epoch = EpochConfig{8, 8}; // 8-bit clocks: rollover quickly
+    config.checker.epoch = EpochConfig{8, 8}; // 8-bit clocks: rollover quickly
     return config;
 }
 

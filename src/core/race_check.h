@@ -35,7 +35,9 @@
 #define CLEAN_CORE_RACE_CHECK_H
 
 #include <cstddef>
+#include <cstring>
 #include <mutex>
+#include <new>
 
 #include "core/epoch.h"
 #include "core/race_exception.h"
@@ -73,7 +75,7 @@ enum class AtomicityMode
 /** Tunables for a RaceChecker. */
 struct CheckerConfig
 {
-    EpochConfig epoch;
+    EpochConfig epoch{};
     /** Enable the §4.4 multi-byte fast path (Figure 8 toggles this). */
     bool vectorized = true;
     /**
@@ -110,27 +112,30 @@ struct CheckerConfig
      * is also what keeps buffered read evidence alive: an unordered
      * writer publishing over a buffered byte is detected at the writer.
      * Requires the vectorized byte-granular CAS configuration (same
-     * gates as the fast path); ignored otherwise.
+     * gates as the fast path); ignored otherwise. Off in a bare
+     * CheckerConfig but on in RuntimeConfig's default (`--no-batch`
+     * turns it off). CleanRuntime also turns it off under
+     * `--on-race=recover` (recovery re-executes from the faulting
+     * access, which requires race-at-access precision) and whenever
+     * fault injection is armed (injected skips/kills are defined
+     * against inline checks).
      */
     bool batch = false;
     /**
-     * Buffered-data budget in bytes: once the pending runs cover this
-     * many data bytes (or the run table fills), the append path drains
-     * in place instead of waiting for the next SFR boundary.
+     * Buffered-data budget in bytes (`--batch-bytes`): once the pending
+     * runs cover this many data bytes (or the run table fills), the
+     * append path drains in place instead of waiting for the next SFR
+     * boundary.
      */
     std::size_t batchBytes = std::size_t{1} << 16;
     /**
-     * Enable the --overhead-budget sampling tier (§15, sampling.h): a
-     * per-thread deterministic gate sheds *read* checks per
-     * (region, window) before any check machinery runs. Orthogonal to
-     * every other knob (it sits above the ownership cache and the
-     * batch buffer and composes with granular/locked configurations).
-     * Each ThreadState's gate must be configured with the same
-     * `sample` params (SampleGate::configure) by whoever creates it.
+     * Tunables of the --overhead-budget sampling gate (seed, window,
+     * burst, region, strikes); recorded in the trace header. CleanRuntime
+     * configures every thread's gate with these, deriving `base` (the
+     * shared-heap base) and `initialLevel` (from the budget or
+     * RuntimeConfig::sampleForceLevel) itself.
      */
-    bool sampling = false;
-    /** Gate tunables; also recorded in the trace header (schema v3). */
-    SampleParams sample;
+    SampleParams sample{};
     AtomicityMode atomicity = AtomicityMode::Cas;
     /**
      * log2 of the checking granule in bytes. 0 = per byte, the paper's
@@ -224,7 +229,16 @@ template <class ShadowT>
 class RaceChecker
 {
   public:
-    RaceChecker(const CheckerConfig &config, ShadowT &shadow)
+    /**
+     * @p sampling enables the --overhead-budget sampling tier (§15,
+     * sampling.h): a per-thread deterministic gate sheds *read* checks
+     * per (region, window) before any check machinery runs. CleanRuntime
+     * turns it on when detection is on and RuntimeConfig::overheadBudget
+     * is in (0, 100). Whoever creates a ThreadState must configure its
+     * gate (SampleGate::configure).
+     */
+    RaceChecker(const CheckerConfig &config, ShadowT &shadow,
+                bool sampling = false)
         : config_(config), shadow_(shadow),
           epochMask_(~EpochConfig::expandedBit()),
           // The fast path is the vectorized same-epoch check hoisted to
@@ -249,7 +263,7 @@ class RaceChecker
           // The sampling gate has no configuration gates of its own:
           // it decides before any check machinery runs, so it composes
           // with every path below (inline, batched, granular, locked).
-          sampling_(config.sampling)
+          sampling_(sampling)
     {
         CLEAN_ASSERT(config.epoch.valid());
     }
@@ -503,10 +517,11 @@ class RaceChecker
         if (CLEAN_UNLIKELY(b.runs == nullptr)) {
             const std::size_t cap = std::max<std::size_t>(
                 64, config_.batchBytes / sizeof(BatchBuffer::Run));
-            // First append comes from the owning thread, so the table
-            // lands on its NUMA node (explicitly under libnuma,
-            // first-touch otherwise).
-            b.runs.allocate(cap);
+            const std::size_t bytes = cap * sizeof(BatchBuffer::Run);
+            void *table =
+                ::operator new(bytes, std::align_val_t{kCacheLineBytes});
+            std::memset(table, 0, bytes);
+            b.runs.reset(static_cast<BatchBuffer::Run *>(table));
             b.capacity = static_cast<std::uint32_t>(cap);
         } else if (CLEAN_UNLIKELY(b.count == b.capacity)) {
             // Non-coalescable access pattern filled the table; a race

@@ -57,7 +57,6 @@ ThreadContext::ThreadContext(CleanRuntime &rt, ThreadId tid,
 {
     state_ = rt.recordAt(record).state.get();
     CLEAN_ASSERT(state_ && state_->tid == tid);
-    detChunk_ = std::max<std::uint32_t>(1, rt.config().detChunk);
     plan_ = rt.injectionPlan();
     log_ = rt.recordAt(record).sfrLog.get();
     slowAccess_ = plan_ != nullptr || log_ != nullptr;
@@ -158,8 +157,7 @@ ThreadContext::onReadObs(Addr addr, std::size_t size)
                 throw;
         }
     }
-    if (++pendingDetEvents_ >= detChunk_)
-        flushDetEvents();
+    rt_.kendo().increment(state_->tid);
 }
 
 void
@@ -189,17 +187,7 @@ ThreadContext::onWriteObs(Addr addr, std::size_t size)
                 throw;
         }
     }
-    if (++pendingDetEvents_ >= detChunk_)
-        flushDetEvents();
-}
-
-void
-ThreadContext::flushDetEvents()
-{
-    if (pendingDetEvents_ > 0) {
-        rt_.kendo().increment(state_->tid, pendingDetEvents_);
-        pendingDetEvents_ = 0;
-    }
+    rt_.kendo().increment(state_->tid);
 }
 
 det::DetCount
@@ -214,8 +202,7 @@ ThreadContext::onReadSlow(Addr addr, std::size_t size)
     if (plan_ != nullptr && injectAtAccess()) {
         // Check skipped; the access still counts as a deterministic
         // event so the Kendo schedule is unchanged by the fault.
-        if (++pendingDetEvents_ >= detChunk_)
-            flushDetEvents();
+        rt_.kendo().increment(state_->tid);
         return;
     }
     try {
@@ -224,8 +211,7 @@ ThreadContext::onReadSlow(Addr addr, std::size_t size)
         if (rt_.recordRace(race))
             throw;
     }
-    if (++pendingDetEvents_ >= detChunk_)
-        flushDetEvents();
+    rt_.kendo().increment(state_->tid);
 }
 
 void
@@ -237,8 +223,7 @@ ThreadContext::onWriteSlow(Addr addr, std::size_t size)
     if (log_ != nullptr && rt_.checkable(addr))
         log_->poison();
     if (plan_ != nullptr && injectAtAccess()) {
-        if (++pendingDetEvents_ >= detChunk_)
-            flushDetEvents();
+        rt_.kendo().increment(state_->tid);
         return;
     }
     try {
@@ -247,8 +232,7 @@ ThreadContext::onWriteSlow(Addr addr, std::size_t size)
         if (rt_.recordRace(race))
             throw;
     }
-    if (++pendingDetEvents_ >= detChunk_)
-        flushDetEvents();
+    rt_.kendo().increment(state_->tid);
 }
 
 void
@@ -274,8 +258,7 @@ ThreadContext::readSlow(Addr addr, void *bytes, std::size_t size)
     rt_.throwIfAborted();
     if (plan_ != nullptr && injectAtAccess()) {
         std::memcpy(bytes, reinterpret_cast<const void *>(addr), size);
-        if (++pendingDetEvents_ >= detChunk_)
-            flushDetEvents();
+        rt_.kendo().increment(state_->tid);
         return;
     }
     std::memcpy(bytes, reinterpret_cast<const void *>(addr), size);
@@ -295,8 +278,7 @@ ThreadContext::readSlow(Addr addr, void *bytes, std::size_t size)
             logRead(addr, bytes, size);
         }
     }
-    if (++pendingDetEvents_ >= detChunk_)
-        flushDetEvents();
+    rt_.kendo().increment(state_->tid);
 }
 
 void
@@ -309,8 +291,7 @@ ThreadContext::writeSlow(Addr addr, const void *bytes, std::size_t size)
         if (log_ != nullptr && rt_.checkable(addr))
             log_->poison();
         std::memcpy(reinterpret_cast<void *>(addr), bytes, size);
-        if (++pendingDetEvents_ >= detChunk_)
-            flushDetEvents();
+        rt_.kendo().increment(state_->tid);
         return;
     }
     // Log the write *before* its check: publishBytes CASes per byte and
@@ -353,8 +334,7 @@ ThreadContext::writeSlow(Addr addr, const void *bytes, std::size_t size)
         asm volatile("" ::: "memory");
         std::memcpy(reinterpret_cast<void *>(addr), bytes, size);
     }
-    if (++pendingDetEvents_ >= detChunk_)
-        flushDetEvents();
+    rt_.kendo().increment(state_->tid);
 }
 
 bool
@@ -425,9 +405,7 @@ ThreadContext::injectSkipAcquire()
 void
 ThreadContext::detTick(std::uint64_t n)
 {
-    pendingDetEvents_ += n;
-    if (pendingDetEvents_ >= detChunk_)
-        flushDetEvents();
+    rt_.kendo().increment(state_->tid, n);
 }
 
 void
@@ -435,14 +413,6 @@ ThreadContext::drainBatch()
 {
     if (CLEAN_LIKELY(state_->batch.empty()))
         return;
-    // --async-check: hand the buffer to the dedicated checker thread
-    // and block until it retires every run. The service applies the
-    // same record-and-continue policy loop as below and rethrows a
-    // Throw-policy race here, so both paths unwind identically.
-    if (CLEAN_UNLIKELY(rt_.asyncChecker() != nullptr)) {
-        rt_.asyncChecker()->drain(*state_);
-        return;
-    }
     for (;;) {
         try {
             rt_.drainBatch(*state_);
@@ -524,9 +494,6 @@ ThreadContext::acquireTurn()
     // barriers, spawn, join, thread end), mirroring the ownership
     // cache's flush-on-refreshOwnEpoch funnel.
     drainBatch();
-    // Synchronization is turn-ordered by the counter, so any batched
-    // events must be visible before the turn predicate is evaluated.
-    flushDetEvents();
     pollRollover();
     if (CLEAN_UNLIKELY(plan_ != nullptr))
         injectAtSync();
@@ -830,9 +797,7 @@ ThreadContext::recoverAccess(const RaceException &race, Addr addr,
         rollbackWrites(log_->size());
         // Serialize the re-execution: token grant order is fixed by the
         // Kendo clock, so competing recoveries replay in the same order
-        // on every run. Publish batched events first — the count *is*
-        // the priority.
-        flushDetEvents();
+        // on every run.
         token->acquire(state_->tid, rt_.kendo().count(state_->tid));
         bool ok = false;
         try {
@@ -901,7 +866,6 @@ ThreadContext::retireAfterKill()
     // so the finish handshake below runs at a deterministic count. An
     // abort or watchdog during the wait just ends the retirement early.
     try {
-        flushDetEvents();
         pollRollover();
         turnWait("retireAfterKill");
         state_->sfrOrdinal++;
@@ -920,8 +884,8 @@ ThreadContext::retireAfterKill()
 CleanRuntime::CleanRuntime(const RuntimeConfig &config)
     : config_(config), detection_(config.detection), rollover_(*this)
 {
-    CLEAN_ASSERT(config_.epoch.valid(), "invalid epoch layout");
-    CLEAN_ASSERT(config_.maxThreads <= config_.epoch.maxThreads(),
+    CLEAN_ASSERT(config_.checker.epoch.valid(), "invalid epoch layout");
+    CLEAN_ASSERT(config_.maxThreads <= config_.checker.epoch.maxThreads(),
                  "maxThreads exceeds the epoch tid width");
 
     heap_ = std::make_unique<SharedHeap>(config_.heap);
@@ -938,7 +902,7 @@ CleanRuntime::CleanRuntime(const RuntimeConfig &config)
         config_.overheadBudget = 0;
     sampling_ = config_.overheadBudget > 0 && detection_;
     if (sampling_) {
-        sampleParams_ = config_.sample;
+        sampleParams_ = config_.checker.sample;
         sampleParams_.base = checkBase_;
         if (config_.sampleForceLevel >= 0) {
             // Pinned level (tests, floor benches): no governor
@@ -974,43 +938,26 @@ CleanRuntime::CleanRuntime(const RuntimeConfig &config)
         governor_ = std::make_unique<obs::SamplingGovernor>(governorConfig);
     }
 
-    CheckerConfig checkerConfig;
-    checkerConfig.epoch = config_.epoch;
-    checkerConfig.vectorized = config_.vectorized;
-    checkerConfig.fastPath = config_.fastPath;
-    checkerConfig.ownCache = config_.ownCache;
     // Batched read checking is off under Recover — rollback re-executes
     // the SFR from the faulting access, which requires the race to be
     // raised *at* that access, not at the boundary — and whenever fault
     // injection is armed, whose skip/kill decisions are specified
     // against inline per-access checks (a killed thread must not take
     // unretired deferred checks with it).
-    checkerConfig.batch = config_.batch &&
+    CheckerConfig checkerConfig = config_.checker;
+    checkerConfig.batch = checkerConfig.batch &&
                           config_.onRace != OnRacePolicy::Recover &&
                           !config_.inject.any();
-    checkerConfig.batchBytes = config_.batchBytes;
-    checkerConfig.sampling = sampling_;
-    checkerConfig.sample = sampleParams_;
-    checkerConfig.atomicity = config_.atomicity;
-    checkerConfig.granuleLog2 = config_.granuleLog2;
     if (config_.shadow == ShadowKind::Linear) {
         linearShadow_ = std::make_unique<LinearShadow>(heap_->sharedBase(),
                                                        heap_->sharedSpan());
         linearChecker_ = std::make_unique<RaceChecker<LinearShadow>>(
-            checkerConfig, *linearShadow_);
+            checkerConfig, *linearShadow_, sampling_);
     } else {
         sparseShadow_ = std::make_unique<SparseShadow>();
         sparseChecker_ = std::make_unique<RaceChecker<SparseShadow>>(
-            checkerConfig, *sparseShadow_);
+            checkerConfig, *sparseShadow_, sampling_);
     }
-
-    // Async drains require batching to have survived its own gates
-    // (vectorized byte-granule CAS checking, no Recover, no injection):
-    // with batching inert the buffer is always empty and a checker
-    // thread would only idle-spin.
-    if (config_.asyncCheck && batchChecking())
-        asyncChecker_ =
-            std::make_unique<AsyncChecker>(*this, config_.maxThreads);
 
     kendo_ = std::make_unique<det::Kendo>(config_.deterministic,
                                           config_.maxThreads);
@@ -1062,7 +1009,7 @@ CleanRuntime::CleanRuntime(const RuntimeConfig &config)
         rc.maxRecoveries = config_.maxRecoveries;
         recovery_ = std::make_unique<recover::RecoveryManager>(rc);
         recoveryToken_ = std::make_unique<RecoveryToken>(*this);
-        if (config_.granuleLog2 != 0)
+        if (config_.checker.granuleLog2 != 0)
             warn("recover policy: granuleLog2 != 0 — undo logging needs "
                  "per-byte epochs, races will degrade to report");
         if (!detection_)
@@ -1073,13 +1020,13 @@ CleanRuntime::CleanRuntime(const RuntimeConfig &config)
     // a zero epoch always reads as "no previous write").
     const std::uint32_t rec = allocateRecord(0);
     ThreadRecord &r = recordAt(rec);
-    r.state = std::make_unique<ThreadState>(config_.epoch, 0,
+    r.state = std::make_unique<ThreadState>(config_.checker.epoch, 0,
                                             config_.maxThreads);
     r.state->vc.setClock(0, 1);
     r.state->refreshOwnEpoch();
     if (sampling_)
         r.state->sample.configure(sampleParams_);
-    if (recovery_ && detection_ && config_.granuleLog2 == 0)
+    if (recovery_ && detection_ && config_.checker.granuleLog2 == 0)
         r.sfrLog = std::make_unique<recover::SfrLog>(config_.undoLogEntries);
     r.phase.store(ThreadRecord::Phase::Running);
     kendo_->activate(0, 0);
@@ -1088,12 +1035,6 @@ CleanRuntime::CleanRuntime(const RuntimeConfig &config)
 
 CleanRuntime::~CleanRuntime()
 {
-    // Stop the async checker thread first: it dereferences the
-    // checkers, shadow and thread states torn down below. Any app
-    // thread still blocked on a drain is released first (the checker
-    // finishes posted work before honoring stop).
-    asyncChecker_.reset();
-
     // Joining every spawned thread is the user's job; salvage what we
     // can so the process does not std::terminate on a joinable thread.
     bool leaked = false;
@@ -1160,7 +1101,7 @@ CleanRuntime::spawn(ThreadContext &parent,
     }
 
     ThreadRecord &r = recordAt(rec);
-    r.state = std::make_unique<ThreadState>(config_.epoch, childTid,
+    r.state = std::make_unique<ThreadState>(config_.checker.epoch, childTid,
                                             config_.maxThreads);
     // Fork: child inherits the parent's clock view...
     r.state->vc.assign(parent.state().vc);
@@ -1173,7 +1114,7 @@ CleanRuntime::spawn(ThreadContext &parent,
     r.state->refreshOwnEpoch();
     if (sampling_)
         r.state->sample.configure(sampleParams_);
-    if (recovery_ && detection_ && config_.granuleLog2 == 0)
+    if (recovery_ && detection_ && config_.checker.granuleLog2 == 0)
         r.sfrLog = std::make_unique<recover::SfrLog>(config_.undoLogEntries);
 
     // ...and the parent ticks so later parent writes do not appear
@@ -1343,10 +1284,8 @@ CleanRuntime::join(ThreadContext &parent, ThreadHandle handle)
 void
 CleanRuntime::obsRaceDetected(const RaceException &race)
 {
-    // recordRace and noteRace run on the accessing thread — or, under
-    // --async-check, on the checker thread while the accessor blocks on
-    // its drain completion — so the accessor's lane keeps its
-    // single-producer contract here either way.
+    // recordRace and noteRace run on the accessing thread, so the
+    // accessor's lane keeps its single-producer contract.
     if (CLEAN_LIKELY(recorder_ == nullptr))
         return;
     if (obs::ThreadLane *lane = recorder_->lane(race.accessor()))
@@ -1497,7 +1436,7 @@ CleanRuntime::tickClock(ThreadState &ts)
     ts.vc.tick(ts.tid);
     ts.refreshOwnEpoch();
     if (ts.vc.clockOf(ts.tid) + config_.rolloverMargin >=
-        config_.epoch.maxClock()) {
+        config_.checker.epoch.maxClock()) {
         rollover_.request();
     }
 }

@@ -32,7 +32,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/async_checker.h"
 #include "core/epoch.h"
 #include "core/linear_shadow.h"
 #include "core/race_check.h"
@@ -108,62 +107,16 @@ const char *onRacePolicyName(OnRacePolicy policy);
 /** Top-level configuration of a CleanRuntime. */
 struct RuntimeConfig
 {
-    EpochConfig epoch;
+    /** Race-check toggles, documented at CheckerConfig. Batching is on
+     *  here, unlike in a bare CheckerConfig. */
+    CheckerConfig checker{.batch = true};
     /** Slot-table capacity; live threads never exceed this. */
     ThreadId maxThreads = 64;
     /** Enable WAW/RAW race detection. */
     bool detection = true;
     /** Enable Kendo deterministic synchronization. */
     bool deterministic = true;
-    /** Enable the §4.4 multi-byte vectorized check. */
-    bool vectorized = true;
-    /** Enable the software fast path for the Fig. 2 check (same-epoch
-     *  SIMD scan + skip-republish; see CheckerConfig::fastPath). */
-    bool fastPath = true;
-    /** Enable the per-thread ownership cache above the fast path
-     *  (zero-shadow-traffic owned-line hits; see
-     *  CheckerConfig::ownCache and OwnershipCache). */
-    bool ownCache = true;
-    /**
-     * Batched SFR-boundary read checking (§14; CheckerConfig::batch,
-     * `--no-batch`): read checks append to a per-thread run buffer the
-     * runtime drains at every SFR boundary (and on overflow), turning
-     * per-access shadow probes into one prefetched wide-SIMD walk per
-     * coalesced run. The runtime disables it automatically under
-     * `--on-race=recover` (recovery re-executes from the faulting
-     * access, which requires race-at-access precision) and whenever
-     * fault injection is armed (injected skips/kills are defined
-     * against inline checks).
-     */
-    bool batch = true;
-    /** Buffered data bytes that force an in-place overflow drain
-     *  (`--batch-bytes`; CheckerConfig::batchBytes). */
-    std::size_t batchBytes = std::size_t{1} << 16;
-    /**
-     * Retire batched drains on a dedicated checker thread
-     * (`--async-check`, DESIGN.md §16): SFR boundaries hand the full
-     * run buffer to an AsyncChecker over a per-thread SPSC ring and
-     * block until it completes — still strictly before the boundary's
-     * turn wait, so soundness, report identity (site + SFR ordinal)
-     * and record/replay byte-identity are unchanged (the flag is
-     * deliberately absent from the .cleantrace header). Requires
-     * batching to survive its own gates (off under Recover/injection);
-     * off by default.
-     */
-    bool asyncCheck = false;
-    AtomicityMode atomicity = AtomicityMode::Cas;
     ShadowKind shadow = ShadowKind::Linear;
-    /** Checking granule (log2 bytes): 0 = per byte (sound for C/C++),
-     *  2 = per 4-byte word (the §3.2 type-safe specialization). */
-    unsigned granuleLog2 = 0;
-    /**
-     * Deterministic events per Kendo counter publication. The paper's
-     * implementation increments counters per instrumented basic block
-     * above a size cutoff (§6.2.1); larger chunks cost less but track
-     * thread progress less precisely, lengthening turn waits for
-     * imbalanced threads.
-     */
-    std::uint32_t detChunk = 1;
     SharedHeapConfig heap;
     /**
      * Clocks at or above maxClock() - rolloverMargin trigger a reset at
@@ -202,10 +155,6 @@ struct RuntimeConfig
      * trades RAW detection probability for speed.
      */
     std::uint32_t overheadBudget = 0;
-    /** Sampling-gate tunables (seed, window, burst, region, strikes).
-     *  `base` and `initialLevel` are derived by the runtime (shared-heap
-     *  base; sampleForceLevel). */
-    SampleParams sample;
     /** Calibration cadence: every 2^sampleCalibLog2-th SFR of a thread
      *  sheds all reads, giving the governor its floor-cost samples.
      *  0 disables calibration (the governor then never engages). */
@@ -434,9 +383,6 @@ class ThreadContext
      *  turn so the Kendo order is not wedged by the dead slot. */
     void retireAfterKill();
 
-    /** Publishes batched deterministic events to the Kendo counter. */
-    void flushDetEvents();
-
     /** The Kendo turn wait shared by acquireTurn and retireAfterKill:
      *  spins on the turn predicate (schedule-checked under replay) with
      *  abort polling, rollover parking and the watchdog, and records
@@ -485,9 +431,6 @@ class ThreadContext
     CleanRuntime &rt_;
     std::uint32_t record_;
     ThreadState *state_;
-    /** Deterministic events not yet published (see detChunk). */
-    std::uint64_t pendingDetEvents_ = 0;
-    std::uint32_t detChunk_ = 1;
     /** Fault plan (null when injection is off) and this thread's
      *  injection-site counter — the coordinate stream. */
     inject::InjectionPlan *plan_ = nullptr;
@@ -709,25 +652,12 @@ class CleanRuntime : private RolloverHost
     }
 
     /** True iff the checker is deferring read checks (config gates
-     *  applied — see RuntimeConfig::batch). */
+     *  applied — see CheckerConfig::batch). */
     bool
     batchChecking() const
     {
         return linearChecker_ ? linearChecker_->batchEnabled()
                               : sparseChecker_->batchEnabled();
-    }
-
-    /** Dedicated drain thread (`--async-check`); null when off (or when
-     *  batching lost its config gates, which async inherits). */
-    AsyncChecker *asyncChecker() { return asyncChecker_.get(); }
-
-    /** Completed async drain handoffs; 0 when `--async-check` is off.
-     *  Diagnostic only — deliberately not part of CheckerStats so async
-     *  on/off metrics stay byte-identical. */
-    std::uint64_t
-    asyncDrains() const
-    {
-        return asyncChecker_ ? asyncChecker_->drains() : 0;
     }
 
     /**
@@ -889,10 +819,6 @@ class CleanRuntime : private RolloverHost
     std::uint64_t sampleCalibMask_ = 0;
     std::unique_ptr<obs::SamplingGovernor> governor_;
 
-    /** Dedicated drain thread (`--async-check`); null when off. Stopped
-     *  explicitly at the top of ~CleanRuntime, before anything it
-     *  touches (checkers, shadow, records) is torn down. */
-    std::unique_ptr<AsyncChecker> asyncChecker_;
     std::unique_ptr<ThreadContext> mainCtx_;
     std::unique_ptr<inject::InjectionPlan> injectPlan_;
     std::unique_ptr<obs::FlightRecorder> recorder_;
@@ -936,8 +862,7 @@ ThreadContext::onReadChecked(Addr addr, std::size_t size)
         if (rt_.recordRace(race))
             throw;
     }
-    if (++pendingDetEvents_ >= detChunk_)
-        flushDetEvents();
+    rt_.kendo().increment(state_->tid);
 }
 
 inline void
@@ -954,8 +879,7 @@ ThreadContext::onWriteChecked(Addr addr, std::size_t size)
         if (rt_.recordRace(race))
             throw;
     }
-    if (++pendingDetEvents_ >= detChunk_)
-        flushDetEvents();
+    rt_.kendo().increment(state_->tid);
 }
 
 inline void

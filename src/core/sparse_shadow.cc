@@ -1,16 +1,15 @@
 #include "core/sparse_shadow.h"
 
+#include <cstring>
+#include <new>
+
 #include "support/backoff.h"
 #include "support/logging.h"
-#include "support/numa.h"
 
 namespace clean
 {
 
 std::atomic<std::uint64_t> SparseShadow::nextGeneration_{1};
-thread_local std::uint64_t SparseShadow::cachedGen_ = 0;
-thread_local Addr SparseShadow::cachedKey_ = ~Addr{0};
-thread_local EpochValue *SparseShadow::cachedChunk_ = nullptr;
 
 namespace
 {
@@ -18,12 +17,14 @@ namespace
 constexpr std::size_t kChunkAllocBytes =
     SparseShadow::kChunkBytes * sizeof(EpochValue);
 
-/** Zeroed, node-local chunk; the allocating thread is the first
- *  toucher, so first-touch placement matches the libnuma path. */
+/** Zeroed, cache-line-aligned chunk; freed by ~Table. */
 EpochValue *
 allocChunk()
 {
-    return static_cast<EpochValue *>(numa::allocLocal(kChunkAllocBytes));
+    void *chunk =
+        ::operator new(kChunkAllocBytes, std::align_val_t{kCacheLineBytes});
+    std::memset(chunk, 0, kChunkAllocBytes);
+    return static_cast<EpochValue *>(chunk);
 }
 
 } // namespace
@@ -40,7 +41,7 @@ SparseShadow::Table::~Table()
     for (std::size_t i = 0; i <= mask; ++i) {
         EpochValue *chunk = slots[i].chunk.load(std::memory_order_acquire);
         if (chunk)
-            numa::deallocate(chunk, kChunkAllocBytes);
+            ::operator delete(chunk, std::align_val_t{kCacheLineBytes});
     }
 }
 

@@ -180,9 +180,12 @@ class SparseShadow
     // chunk from the new (or a newer) table, never a retired one.
     std::atomic<std::uint64_t> generation_;
     static std::atomic<std::uint64_t> nextGeneration_;
-    static thread_local std::uint64_t cachedGen_;
-    static thread_local Addr cachedKey_;
-    static thread_local EpochValue *cachedChunk_;
+    // Defined inline so every translation unit reads the cache
+    // directly: out-of-line thread_local members are reached through
+    // the compiler's TLS wrapper, which UBSan flags as a null load.
+    static inline thread_local std::uint64_t cachedGen_ = 0;
+    static inline thread_local Addr cachedKey_ = ~Addr{0};
+    static inline thread_local EpochValue *cachedChunk_ = nullptr;
 };
 
 } // namespace clean

@@ -73,7 +73,7 @@ RecoveryToken::deregister(ThreadId tid)
 // ---------------------------------------------------------------------
 
 CleanMutex::CleanMutex(CleanRuntime &rt)
-    : rt_(rt), vc_(rt.config().epoch, rt.config().maxThreads)
+    : rt_(rt), vc_(rt.config().checker.epoch, rt.config().maxThreads)
 {
     rt_.registerSyncClock(&vc_);
 }
@@ -163,7 +163,7 @@ CleanMutex::releaseForWait(ThreadContext &ctx)
 // ---------------------------------------------------------------------
 
 CleanCondVar::CleanCondVar(CleanRuntime &rt)
-    : rt_(rt), vc_(rt.config().epoch, rt.config().maxThreads)
+    : rt_(rt), vc_(rt.config().checker.epoch, rt.config().maxThreads)
 {
     rt_.registerSyncClock(&vc_);
 }
@@ -289,8 +289,8 @@ CleanCondVar::broadcast(ThreadContext &ctx)
 
 CleanBarrier::CleanBarrier(CleanRuntime &rt, std::uint32_t parties)
     : rt_(rt), parties_(parties),
-      vc_(rt.config().epoch, rt.config().maxThreads),
-      releaseVc_(rt.config().epoch, rt.config().maxThreads)
+      vc_(rt.config().checker.epoch, rt.config().maxThreads),
+      releaseVc_(rt.config().checker.epoch, rt.config().maxThreads)
 {
     CLEAN_ASSERT(parties_ > 0);
     rt_.registerSyncClock(&vc_);

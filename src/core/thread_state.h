@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #ifndef NDEBUG
 #include <atomic>
 #endif
@@ -19,7 +20,6 @@
 #include "obs/metrics.h"
 #include "support/common.h"
 #include "support/logging.h"
-#include "support/numa.h"
 #include "support/stats.h"
 
 namespace clean
@@ -345,11 +345,9 @@ class OwnershipCache
  * racy value.
  *
  * Storage is lazily allocated by the checker on first append (plain
- * ThreadState users that never enable batching pay nothing); since the
- * owning thread performs that first append, the run table lands on its
- * NUMA node (numa::LocalArray). The whole struct is cache-line aligned
- * so the per-access head fields (open/count/cursor) of adjacent
- * ThreadStates can never false-share.
+ * ThreadState users that never enable batching pay nothing). The whole
+ * struct is cache-line aligned so the per-access head fields
+ * (open/count/cursor) of adjacent ThreadStates can never false-share.
  */
 struct alignas(kCacheLineBytes) BatchBuffer
 {
@@ -370,7 +368,18 @@ struct alignas(kCacheLineBytes) BatchBuffer
     };
     static_assert(sizeof(Run) == 32, "Run is sized for cheap indexing");
 
-    numa::LocalArray<Run> runs;
+    /** Frees the zeroed, cache-line-aligned run table that
+     *  RaceChecker::pushRun allocates. */
+    struct RunTableDelete
+    {
+        void
+        operator()(Run *table) const noexcept
+        {
+            ::operator delete(table, std::align_val_t{kCacheLineBytes});
+        }
+    };
+
+    std::unique_ptr<Run[], RunTableDelete> runs;
     /** The run new appends may extend, or null when none is open. A
      *  write (which bumps the access ordinal without appending) and
      *  every drain close it, so a run's accesses are always consecutive
@@ -488,22 +497,8 @@ struct ThreadState
                      "CheckerStats bumped from two threads (tid %u)",
                      tid);
     }
-    /**
-     * Async-drain handoff (`--async-check`, DESIGN.md §16): the
-     * dedicated checker thread legitimately bumps this thread's
-     * counters while the owner blocks on the drain completion — it
-     * borrows the single-writer latch for exactly that span and hands
-     * back the previous owner afterwards, so the assert keeps firing
-     * on genuinely unsynchronized cross-thread bumps.
-     */
-    std::thread::id
-    exchangeStatsOwner(std::thread::id next)
-    {
-        return statsOwner_.exchange(next, std::memory_order_relaxed);
-    }
 #else
     void assertStatsOwner() {}
-    std::thread::id exchangeStatsOwner(std::thread::id) { return {}; }
 #endif
 
     ThreadId tid;
@@ -522,7 +517,7 @@ struct ThreadState
     BatchBuffer batch;
     /** --overhead-budget sampling gate (§15); inert until the runtime
      *  (or a test harness) calls sample.configure() and the checker is
-     *  built with CheckerConfig::sampling. */
+     *  built with sampling on (RaceChecker's constructor). */
     SampleGate sample;
 
 #ifndef NDEBUG

@@ -80,7 +80,6 @@ metaFields(TraceMeta &m)
         {"atomicity", T::U32, &m.atomicity},
         {"shadow", T::U32, &m.shadow},
         {"granule_log2", T::U32, &m.granuleLog2},
-        {"det_chunk", T::U32, &m.detChunk},
         {"rollover_margin", T::U64, &m.rolloverMargin},
         {"watchdog_ms", T::U64, &m.watchdogMs},
         {"max_recoveries", T::U32, &m.maxRecoveries},

@@ -52,8 +52,9 @@ namespace clean::obs
  *  governor fields (overhead_budget, sample_*) — a budgeted trace pins
  *  the full gate configuration so replayed shed decisions are bit-exact,
  *  with the physically-driven level adoptions replayed from the event
- *  stream itself (SampleLevel). */
-inline constexpr std::uint32_t kTraceSchemaVersion = 3;
+ *  stream itself (SampleLevel); v4 dropped the Kendo counter chunk
+ *  size (every deterministic event now publishes to the counter). */
+inline constexpr std::uint32_t kTraceSchemaVersion = 4;
 
 /** Bytes of one serialized event record. */
 inline constexpr std::size_t kTraceRecordBytes = 40;
@@ -89,7 +90,6 @@ struct TraceMeta
     std::uint32_t atomicity = 0;
     std::uint32_t shadow = 0;
     std::uint32_t granuleLog2 = 0;
-    std::uint32_t detChunk = 1;
     std::uint64_t rolloverMargin = 0;
     std::uint64_t watchdogMs = 0;
     std::uint32_t maxRecoveries = 0;

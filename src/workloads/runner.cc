@@ -43,19 +43,19 @@ metaForSpec(const RunSpec &spec)
     meta.backend = static_cast<std::uint32_t>(spec.backend);
 
     const RuntimeConfig &rc = spec.runtime;
-    meta.clockBits = rc.epoch.clockBits;
-    meta.tidBits = rc.epoch.tidBits;
+    const CheckerConfig &cc = rc.checker;
+    meta.clockBits = cc.epoch.clockBits;
+    meta.tidBits = cc.epoch.tidBits;
     meta.maxThreads = rc.maxThreads;
     meta.onRace = static_cast<std::uint32_t>(rc.onRace);
-    meta.vectorized = rc.vectorized;
-    meta.fastPath = rc.fastPath;
-    meta.ownCache = rc.ownCache;
-    meta.batch = rc.batch;
-    meta.batchBytes = rc.batchBytes;
-    meta.atomicity = static_cast<std::uint32_t>(rc.atomicity);
+    meta.vectorized = cc.vectorized;
+    meta.fastPath = cc.fastPath;
+    meta.ownCache = cc.ownCache;
+    meta.batch = cc.batch;
+    meta.batchBytes = cc.batchBytes;
+    meta.atomicity = static_cast<std::uint32_t>(cc.atomicity);
     meta.shadow = static_cast<std::uint32_t>(rc.shadow);
-    meta.granuleLog2 = rc.granuleLog2;
-    meta.detChunk = rc.detChunk;
+    meta.granuleLog2 = cc.granuleLog2;
     meta.rolloverMargin = rc.rolloverMargin;
     meta.watchdogMs = rc.watchdogMs;
     meta.maxRecoveries = rc.maxRecoveries;
@@ -66,11 +66,11 @@ metaForSpec(const RunSpec &spec)
     meta.obsFailureTail = rc.obs.failureTail;
 
     meta.overheadBudget = rc.overheadBudget;
-    meta.sampleWindowLog2 = rc.sample.windowLog2;
-    meta.sampleBurst = rc.sample.burstWindows;
-    meta.sampleRegionLog2 = rc.sample.regionLog2;
-    meta.sampleStrikes = rc.sample.maxStrikes;
-    meta.sampleSeed = rc.sample.seed;
+    meta.sampleWindowLog2 = cc.sample.windowLog2;
+    meta.sampleBurst = cc.sample.burstWindows;
+    meta.sampleRegionLog2 = cc.sample.regionLog2;
+    meta.sampleStrikes = cc.sample.maxStrikes;
+    meta.sampleSeed = cc.sample.seed;
     meta.sampleCalibLog2 = rc.sampleCalibLog2;
     meta.sampleForceLevelP1 =
         rc.sampleForceLevel < 0
@@ -128,19 +128,19 @@ specFromTraceMeta(const obs::TraceMeta &meta)
     spec.backend = static_cast<BackendKind>(meta.backend);
 
     RuntimeConfig &rc = spec.runtime;
-    rc.epoch.clockBits = meta.clockBits;
-    rc.epoch.tidBits = meta.tidBits;
+    CheckerConfig &cc = rc.checker;
+    cc.epoch.clockBits = meta.clockBits;
+    cc.epoch.tidBits = meta.tidBits;
     rc.maxThreads = meta.maxThreads;
     rc.onRace = static_cast<OnRacePolicy>(meta.onRace);
-    rc.vectorized = meta.vectorized;
-    rc.fastPath = meta.fastPath;
-    rc.ownCache = meta.ownCache;
-    rc.batch = meta.batch;
-    rc.batchBytes = static_cast<std::size_t>(meta.batchBytes);
-    rc.atomicity = static_cast<AtomicityMode>(meta.atomicity);
+    cc.vectorized = meta.vectorized;
+    cc.fastPath = meta.fastPath;
+    cc.ownCache = meta.ownCache;
+    cc.batch = meta.batch;
+    cc.batchBytes = static_cast<std::size_t>(meta.batchBytes);
+    cc.atomicity = static_cast<AtomicityMode>(meta.atomicity);
     rc.shadow = static_cast<ShadowKind>(meta.shadow);
-    rc.granuleLog2 = meta.granuleLog2;
-    rc.detChunk = meta.detChunk;
+    cc.granuleLog2 = meta.granuleLog2;
     rc.rolloverMargin = meta.rolloverMargin;
     rc.watchdogMs = meta.watchdogMs;
     rc.maxRecoveries = meta.maxRecoveries;
@@ -151,11 +151,11 @@ specFromTraceMeta(const obs::TraceMeta &meta)
     rc.obs.failureTail = meta.obsFailureTail;
 
     rc.overheadBudget = meta.overheadBudget;
-    rc.sample.windowLog2 = meta.sampleWindowLog2;
-    rc.sample.burstWindows = meta.sampleBurst;
-    rc.sample.regionLog2 = meta.sampleRegionLog2;
-    rc.sample.maxStrikes = meta.sampleStrikes;
-    rc.sample.seed = meta.sampleSeed;
+    cc.sample.windowLog2 = meta.sampleWindowLog2;
+    cc.sample.burstWindows = meta.sampleBurst;
+    cc.sample.regionLog2 = meta.sampleRegionLog2;
+    cc.sample.maxStrikes = meta.sampleStrikes;
+    cc.sample.seed = meta.sampleSeed;
     rc.sampleCalibLog2 = meta.sampleCalibLog2;
     rc.sampleForceLevel =
         meta.sampleForceLevelP1 == 0
@@ -402,10 +402,10 @@ runPlain(Workload &workload, const RunSpec &spec)
     std::unique_ptr<detectors::Detector> detector;
     if (spec.backend == BackendKind::FastTrack) {
         detector = std::make_unique<detectors::FastTrackDetector>(
-            spec.runtime.epoch, slots);
+            spec.runtime.checker.epoch, slots);
     } else {
         detector = std::make_unique<detectors::TsanLiteDetector>(
-            spec.runtime.epoch, slots);
+            spec.runtime.checker.epoch, slots);
     }
     DetectorEnv env(*detector, spec.params.seed);
     Timer timer;

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <map>
 #include <optional>
 #include <thread>
@@ -38,8 +39,9 @@ constexpr unsigned kLocks = 3;
 
 struct CrossHarness
 {
-    explicit CrossHarness(const CheckerConfig &config = {})
-        : shadow(kBase, 4096), checker(config, shadow),
+    explicit CrossHarness(const CheckerConfig &config = {},
+                          bool sampling = false)
+        : shadow(kBase, 4096), checker(config, shadow, sampling),
           fasttrack(kDefaultEpochConfig, kThreads)
     {
         for (ThreadId t = 0; t < kThreads; ++t) {
@@ -122,7 +124,7 @@ struct CrossHarness
     LinearShadow shadow;
     RaceChecker<LinearShadow> checker;
     detectors::FastTrackDetector fasttrack;
-    std::vector<ThreadState> threads;
+    std::deque<ThreadState> threads;
     std::vector<VectorClock> locks;
     /** CLEAN's last thrown race, if any (site identity for parity). */
     std::optional<RaceException> lastRace;
@@ -364,14 +366,13 @@ TEST_P(CrossDetector, BatchSyncGranularityReportsOnlyRealRaces)
 TEST_P(CrossDetector, BudgetedRunReportsOnlyWhatUnbudgetedReports)
 {
     CheckerConfig sampled;
-    sampled.sampling = true;
     sampled.sample.base = kBase;
     sampled.sample.windowLog2 = 3; // 8-read windows at test scale
     sampled.sample.burstWindows = 1;
     sampled.sample.initialLevel = 12; // deep shedding, never adopted off
     Prng rngSampled(GetParam() * 7919 + 13);
     Prng rngPlain(GetParam() * 7919 + 13);
-    CrossHarness budgeted(sampled);
+    CrossHarness budgeted(sampled, /*sampling=*/true);
     CrossHarness plain;
     for (int step = 0; step < 600; ++step) {
         const auto plainRace = plain.step(rngPlain);
@@ -421,12 +422,11 @@ TEST_P(CrossDetector, BudgetedRunReportsOnlyWhatUnbudgetedReports)
 TEST_P(CrossDetector, LevelZeroSamplingIsIdenticalToOff)
 {
     CheckerConfig sampled;
-    sampled.sampling = true;
     sampled.sample.base = kBase;
     sampled.sample.initialLevel = 0;
     Prng rngSampled(GetParam() * 7919 + 13);
     Prng rngPlain(GetParam() * 7919 + 13);
-    CrossHarness budgeted(sampled);
+    CrossHarness budgeted(sampled, /*sampling=*/true);
     CrossHarness plain;
     for (int step = 0; step < 600; ++step) {
         const auto a = budgeted.step(rngSampled);
@@ -608,30 +608,19 @@ TEST(OwnCacheDirected, ReleaseTickFlushesTheOwnershipCache)
  * logs are defined against inline checks), so the race fires inline at
  * the read and recovery proceeds exactly as without batching — the
  * rollback-parity half of the property.
- *
- * With @p async the same property must hold with the drain retired on
- * the dedicated checker thread (--async-check, DESIGN.md §16): the
- * handoff is synchronous at the boundary, so the race surfaces at the
- * identical program point with the identical buffered identity, and a
- * Throw-policy RaceException unwinds the *posting* thread.
  */
 void
-runBatchedRaceAtSfrBoundary(OnRacePolicy policy, bool async = false)
+runBatchedRaceAtSfrBoundary(OnRacePolicy policy)
 {
     RuntimeConfig config;
     config.maxThreads = 16;
     config.heap.sharedBytes = std::size_t{64} << 20;
     config.heap.privateBytes = std::size_t{16} << 20;
     config.onRace = policy;
-    config.asyncCheck = async;
 
     CleanRuntime rt(config);
     const bool batched = policy != OnRacePolicy::Recover;
     EXPECT_EQ(rt.batchChecking(), batched) << onRacePolicyName(policy);
-    // The async drain rides the batch gate: no batching, no checker
-    // thread (Recover must gate it off along with batching).
-    EXPECT_EQ(rt.asyncChecker() != nullptr, async && batched)
-        << onRacePolicyName(policy);
 
     auto *x = rt.heap().allocSharedArray<int>(64);
     CleanMutex mu(rt);
@@ -707,13 +696,6 @@ runBatchedRaceAtSfrBoundary(OnRacePolicy policy, bool async = false)
                 << onRacePolicyName(policy);
         }
     }
-    if (async && batched) {
-        // Engagement: the boundary drain above must actually have been
-        // retired by the checker thread, not fallen back to inline.
-        EXPECT_GT(rt.asyncDrains(), 0u) << onRacePolicyName(policy);
-    } else {
-        EXPECT_EQ(rt.asyncDrains(), 0u) << onRacePolicyName(policy);
-    }
 }
 
 TEST(BatchDirected, RaceInBufferedRunRaisesAtBoundaryThrow)
@@ -736,26 +718,6 @@ TEST(BatchDirected, RecoverGatesBatchingOffAndRecoversInline)
     runBatchedRaceAtSfrBoundary(OnRacePolicy::Recover);
 }
 
-TEST(AsyncBatchDirected, RaceInBufferedRunRaisesAtBoundaryThrow)
-{
-    runBatchedRaceAtSfrBoundary(OnRacePolicy::Throw, /*async=*/true);
-}
-
-TEST(AsyncBatchDirected, RaceInBufferedRunRaisesAtBoundaryReport)
-{
-    runBatchedRaceAtSfrBoundary(OnRacePolicy::Report, /*async=*/true);
-}
-
-TEST(AsyncBatchDirected, RaceInBufferedRunRaisesAtBoundaryCount)
-{
-    runBatchedRaceAtSfrBoundary(OnRacePolicy::Count, /*async=*/true);
-}
-
-TEST(AsyncBatchDirected, RecoverGatesTheCheckerThreadOff)
-{
-    runBatchedRaceAtSfrBoundary(OnRacePolicy::Recover, /*async=*/true);
-}
-
 /**
  * Overflow drain: a streaming run larger than --batch-bytes must not
  * wait for the SFR boundary — the capacity drain fires mid-run, still
@@ -770,7 +732,7 @@ TEST(BatchDirected, OverflowDrainFiresBeforeTheBoundary)
     config.heap.sharedBytes = std::size_t{64} << 20;
     config.heap.privateBytes = std::size_t{16} << 20;
     config.onRace = OnRacePolicy::Report;
-    config.batchBytes = 256; // 64 ints: force mid-run drains
+    config.checker.batchBytes = 256; // 64 ints: force mid-run drains
 
     CleanRuntime rt(config);
     ASSERT_TRUE(rt.batchChecking());
@@ -834,184 +796,6 @@ TEST(SamplingDirected, Budget100IsBitIdenticalToBudgetOff)
     EXPECT_EQ(full.failureReport, off.failureReport);
     EXPECT_EQ(full.metricsJson, off.metricsJson);
 }
-
-/**
- * --async-check must be a pure execution-engine change: moving the
- * drain onto the checker thread may alter wall time but nothing the
- * runtime can observe — same fingerprint, failure report, and metrics
- * (the drain handoff count deliberately lives outside CheckerStats).
- */
-TEST(AsyncDirected, AsyncOnOffIsBitIdentical)
-{
-    const auto run = [](bool async) {
-        wl::RunSpec spec;
-        spec.workload = "streamcluster";
-        spec.backend = wl::BackendKind::Clean;
-        spec.params.threads = 4;
-        spec.params.scale = wl::Scale::Test;
-        spec.params.seed = 0x16;
-        spec.runtime.maxThreads = 16;
-        spec.runtime.heap.sharedBytes = std::size_t{256} << 20;
-        spec.runtime.heap.privateBytes = std::size_t{64} << 20;
-        spec.runtime.obs.enabled = true;
-        spec.runtime.obs.latencySampleEvery = 0;
-        spec.runtime.asyncCheck = async;
-        return wl::runWorkload(spec);
-    };
-    const wl::RunResult sync = run(false);
-    const wl::RunResult async = run(true);
-    EXPECT_TRUE(async.fingerprint() == sync.fingerprint());
-    EXPECT_EQ(async.failureReport, sync.failureReport);
-    EXPECT_EQ(async.metricsJson, sync.metricsJson);
-    EXPECT_EQ(async.outputHash, sync.outputHash);
-}
-
-// ---------------------------------------------------------------------
-// 60-seed async-check lockstep parity (this PR's --async-check
-// satellite, mirroring the batch and own-cache parity suites): a
-// seeded racy program must produce identical verdicts, sites, and SFR
-// ordinals with the drain retired inline or on the checker thread,
-// across every --on-race policy.
-// ---------------------------------------------------------------------
-
-/** Everything the runtime lets us observe about one seeded run. */
-struct SeededOutcome
-{
-    bool threw = false;
-    bool raceOccurred = false;
-    std::uint64_t raceCount = 0;
-    std::uint64_t asyncDrains = 0;
-    bool hasFirst = false;
-    RaceKind kind = RaceKind::Raw;
-    Addr addrOffset = 0; // first-race addr relative to the array base
-    bool accessorIsMain = false;
-    bool writerIsChild = false;
-    std::uint64_t siteIndex = 0;
-    std::uint64_t sfrOrdinal = 0;
-};
-
-/**
- * One writer thread scribbles over a seeded subset of a 64-word array
- * and then signals through a raw flag (no happens-before), so every
- * later touch of a scribbled word by the main thread is a genuine
- * race. The main thread then runs a seeded mix of reads (batched),
- * writes (inline), and lock/unlock SFR boundaries (drains). Because
- * the writer quiesces before main starts, the verdict stream is a
- * function of the seed alone — the async bit must not change it.
- */
-SeededOutcome
-runSeededAsyncProgram(unsigned seed, OnRacePolicy policy, bool async)
-{
-    constexpr unsigned kWords = 64;
-    RuntimeConfig config;
-    config.maxThreads = 16;
-    config.heap.sharedBytes = std::size_t{64} << 20;
-    config.heap.privateBytes = std::size_t{16} << 20;
-    config.onRace = policy;
-    config.asyncCheck = async;
-
-    CleanRuntime rt(config);
-    auto *x = rt.heap().allocSharedArray<int>(kWords);
-    CleanMutex mu(rt);
-    std::atomic<bool> wrote{false};
-    ThreadId writerTid = 0;
-
-    // Spawn first: the child's writes are unordered with everything the
-    // parent does after the spawn tick.
-    auto h = rt.spawn(rt.mainContext(), [&](ThreadContext &ctx) {
-        writerTid = ctx.tid();
-        Prng rng(0xa11ceu + seed * 2u);
-        for (int i = 0; i < 8; ++i)
-            ctx.write(&x[rng.nextBelow(kWords)], i);
-        wrote.store(true, std::memory_order_release);
-    });
-    while (!wrote.load(std::memory_order_acquire))
-        std::this_thread::yield();
-
-    ThreadContext &main = rt.mainContext();
-    SeededOutcome out;
-    Prng rng(0x5eedu + seed * 2u + 1u);
-    try {
-        for (int step = 0; step < 128; ++step) {
-            const unsigned op = static_cast<unsigned>(rng.nextBelow(10));
-            const unsigned idx =
-                static_cast<unsigned>(rng.nextBelow(kWords));
-            if (op < 6) {
-                (void)main.read(&x[idx]);
-            } else if (op < 8) {
-                main.write(&x[idx], step);
-            } else {
-                mu.lock(main);
-                mu.unlock(main);
-            }
-        }
-        // Final boundary so the tail of the batch is retired too.
-        mu.lock(main);
-        mu.unlock(main);
-    } catch (const RaceException &) {
-        out.threw = true;
-    } catch (const ExecutionAborted &) {
-        out.threw = true;
-    }
-    rt.join(main, h);
-
-    out.raceOccurred = rt.raceOccurred();
-    out.raceCount = rt.raceCount();
-    out.asyncDrains = rt.asyncDrains();
-    if (rt.firstRace() != nullptr) {
-        out.hasFirst = true;
-        out.kind = rt.firstRace()->kind();
-        out.addrOffset = rt.firstRace()->addr() -
-                         reinterpret_cast<Addr>(&x[0]);
-        out.accessorIsMain = rt.firstRace()->accessor() == main.tid();
-        out.writerIsChild =
-            rt.firstRace()->previousWriter() == writerTid;
-        out.siteIndex = rt.firstRace()->siteIndex();
-        out.sfrOrdinal = rt.firstRace()->sfrOrdinal();
-    }
-    return out;
-}
-
-class AsyncParity : public ::testing::TestWithParam<unsigned>
-{
-};
-
-TEST_P(AsyncParity, VerdictsSitesAndOrdinalsMatchAcrossPolicies)
-{
-    const unsigned seed = GetParam();
-    const OnRacePolicy policies[] = {
-        OnRacePolicy::Throw, OnRacePolicy::Report, OnRacePolicy::Count,
-        OnRacePolicy::Recover};
-    for (const OnRacePolicy policy : policies) {
-        SCOPED_TRACE(std::string("policy ") + onRacePolicyName(policy));
-        const SeededOutcome sync =
-            runSeededAsyncProgram(seed, policy, false);
-        const SeededOutcome async =
-            runSeededAsyncProgram(seed, policy, true);
-        // The exit-code input: did the program throw, and did a race
-        // occur? (wl::runWorkload derives the process exit from these.)
-        EXPECT_EQ(async.threw, sync.threw);
-        EXPECT_EQ(async.raceOccurred, sync.raceOccurred);
-        EXPECT_EQ(async.raceCount, sync.raceCount);
-        ASSERT_EQ(async.hasFirst, sync.hasFirst);
-        if (sync.hasFirst) {
-            EXPECT_EQ(async.kind, sync.kind);
-            EXPECT_EQ(async.addrOffset, sync.addrOffset);
-            EXPECT_EQ(async.accessorIsMain, sync.accessorIsMain);
-            EXPECT_EQ(async.writerIsChild, sync.writerIsChild);
-            EXPECT_EQ(async.siteIndex, sync.siteIndex);
-            EXPECT_EQ(async.sfrOrdinal, sync.sfrOrdinal);
-        }
-        // The inline runs must never touch the checker thread; the
-        // async runs engage it whenever the batch gate is open.
-        EXPECT_EQ(sync.asyncDrains, 0u);
-        if (policy == OnRacePolicy::Recover) {
-            EXPECT_EQ(async.asyncDrains, 0u);
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AsyncParity, ::testing::Range(0u, 60u));
 
 } // namespace
 } // namespace clean

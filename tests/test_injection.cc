@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/common.h"
 #include "inject/injection.h"
 #include "workloads/runner.h"
 
@@ -188,6 +189,10 @@ TEST(InjectionKill, KilledThreadSurfacesAsDeadlockNamingTheStuckSlot)
     const auto replay = runWorkload(spec);
     EXPECT_TRUE(replay.deadlock);
     EXPECT_FALSE(replay.raceException);
+
+    // A watchdog-aborted run is no wall-time measurement: the benches
+    // must report it as a failure, not as a slowdown.
+    EXPECT_EQ(bench::timedSeconds(spec, 1), -1.0);
 }
 
 TEST(InjectionDelay, DelaysNeverChangeTheDeterministicOutcome)

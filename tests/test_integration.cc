@@ -184,26 +184,22 @@ TEST(GranularityIntegration, WordModeAcceptsWordStructuredSuite)
     spec.backend = wl::BackendKind::Clean;
     spec.params.threads = 4;
     spec.params.scale = wl::Scale::Test;
-    spec.runtime.granuleLog2 = 2;
+    spec.runtime.checker.granuleLog2 = 2;
     const auto result = wl::runWorkload(spec);
     EXPECT_FALSE(result.raceException) << result.raceMessage;
 }
 
-TEST(DetChunkIntegration, SuiteDeterministicUnderChunkedCounters)
+TEST(DeterminismIntegration, RadiosityFingerprintIsDeterministic)
 {
-    for (std::uint32_t chunk : {1u, 8u}) {
-        wl::RunSpec spec;
-        spec.workload = "radiosity"; // schedule-sensitive results
-        spec.backend = wl::BackendKind::Clean;
-        spec.params.threads = 4;
-        spec.params.scale = wl::Scale::Test;
-        spec.runtime.detChunk = chunk;
-        const auto a = wl::runWorkload(spec);
-        const auto b = wl::runWorkload(spec);
-        ASSERT_FALSE(a.raceException);
-        EXPECT_TRUE(a.fingerprint() == b.fingerprint())
-            << "chunk=" << chunk;
-    }
+    wl::RunSpec spec;
+    spec.workload = "radiosity"; // schedule-sensitive results
+    spec.backend = wl::BackendKind::Clean;
+    spec.params.threads = 4;
+    spec.params.scale = wl::Scale::Test;
+    const auto a = wl::runWorkload(spec);
+    const auto b = wl::runWorkload(spec);
+    ASSERT_FALSE(a.raceException);
+    EXPECT_TRUE(a.fingerprint() == b.fingerprint());
 }
 
 } // namespace

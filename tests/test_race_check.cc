@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <thread>
 #include <vector>
 
@@ -72,7 +73,7 @@ class RaceCheckTest : public ::testing::Test
 
     LinearShadow shadow_;
     std::unique_ptr<RaceChecker<LinearShadow>> checker_;
-    std::vector<ThreadState> threads_;
+    std::deque<ThreadState> threads_;
 };
 
 TEST_F(RaceCheckTest, FirstWriteIsRaceFree)
@@ -314,7 +315,7 @@ TEST_P(VectorizedEquivalence, SameOutcomeOnRandomPrograms)
         CheckerConfig config;
         config.vectorized = vectorized == 1;
         RaceChecker<LinearShadow> checker(config, shadow);
-        std::vector<ThreadState> threads;
+        std::deque<ThreadState> threads;
         for (ThreadId t = 0; t < 4; ++t) {
             threads.emplace_back(config.epoch, t, 4);
             threads[t].vc.setClock(t, 1);
@@ -506,7 +507,7 @@ TEST(RaceCheckSparse, DetectsWawAndRawAllowsWar)
     SparseShadow shadow;
     CheckerConfig config;
     RaceChecker<SparseShadow> checker(config, shadow);
-    std::vector<ThreadState> threads;
+    std::deque<ThreadState> threads;
     for (ThreadId t = 0; t < 2; ++t) {
         threads.emplace_back(config.epoch, t, 2);
         threads[t].vc.setClock(t, 1);

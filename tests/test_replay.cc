@@ -579,42 +579,6 @@ TEST(ReplayRoundTrip, SixtyFourSeedsAllPoliciesByteIdentical)
     std::filesystem::remove(path);
 }
 
-TEST(ReplayRoundTrip, AsyncCheckRecordsAndReplaysByteIdentical)
-{
-    // --async-check moves batched drains onto a checker thread but is
-    // deliberately NOT part of the trace header (runner.cc meta): it
-    // changes no recorded decision, so a trace captured with the
-    // checker thread must replay byte-identically both with and
-    // without it.
-    const std::string path = tmpPath("async_roundtrip.cleantrace");
-    for (std::uint64_t seed = 0; seed < 4; ++seed) {
-        RunSpec spec = smallSpec("streamcluster", 0xa51c + seed,
-                                 OnRacePolicy::Report);
-        spec.runtime.asyncCheck = true;
-        SCOPED_TRACE("seed " + std::to_string(seed));
-
-        const RunResult a = recordRun(spec, path);
-        ASSERT_FALSE(a.raceException);
-
-        RunSpec asyncReplay = spec;
-        RunSpec syncReplay = spec;
-        syncReplay.runtime.asyncCheck = false;
-        for (const RunSpec &r : {asyncReplay, syncReplay}) {
-            const RunResult b = replayRun(r, path);
-            SCOPED_TRACE(r.runtime.asyncCheck ? "async replay"
-                                              : "sync replay");
-            EXPECT_FALSE(b.traceFault)
-                << b.traceFaultKind << ": " << b.traceFaultMessage;
-            EXPECT_EQ(b.raceCount, a.raceCount);
-            EXPECT_EQ(b.outputHash, a.outputHash);
-            EXPECT_EQ(b.failureReport, a.failureReport);
-            EXPECT_EQ(b.metricsJson, a.metricsJson);
-            EXPECT_TRUE(b.fingerprint() == a.fingerprint());
-        }
-    }
-    std::filesystem::remove(path);
-}
-
 /** Budget spec whose gate decides often enough at test scale: 64-read
  *  windows and a single burst window, so forced levels actually shed. */
 RunSpec
@@ -623,8 +587,8 @@ budgetSpec(const std::string &workload, std::uint64_t seed,
 {
     RunSpec spec = smallSpec(workload, seed, OnRacePolicy::Throw);
     spec.runtime.overheadBudget = budget;
-    spec.runtime.sample.windowLog2 = 6;
-    spec.runtime.sample.burstWindows = 1;
+    spec.runtime.checker.sample.windowLog2 = 6;
+    spec.runtime.checker.sample.burstWindows = 1;
     return spec;
 }
 
@@ -663,8 +627,9 @@ TEST(ReplayRoundTrip, ForcedLevelBudgetedRunsAreByteIdentical)
         const RunResult b = replayRun(spec, path);
         EXPECT_FALSE(b.traceFault)
             << b.traceFaultKind << ": " << b.traceFaultMessage;
-        if (level > 0)
+        if (level > 0) {
             EXPECT_GT(a.checker.shedReads, 0u);
+        }
         EXPECT_EQ(b.checker.shedReads, a.checker.shedReads);
         EXPECT_EQ(b.failureReport, a.failureReport);
         EXPECT_EQ(b.metricsJson, a.metricsJson);
@@ -718,11 +683,11 @@ TEST(SpecMeta, SamplingKnobsRoundTripThroughTheHeader)
 {
     RunSpec spec = smallSpec("fft", 77, OnRacePolicy::Throw);
     spec.runtime.overheadBudget = 25;
-    spec.runtime.sample.windowLog2 = 9;
-    spec.runtime.sample.burstWindows = 2;
-    spec.runtime.sample.regionLog2 = 7;
-    spec.runtime.sample.maxStrikes = 5;
-    spec.runtime.sample.seed = 0xfeedface;
+    spec.runtime.checker.sample.windowLog2 = 9;
+    spec.runtime.checker.sample.burstWindows = 2;
+    spec.runtime.checker.sample.regionLog2 = 7;
+    spec.runtime.checker.sample.maxStrikes = 5;
+    spec.runtime.checker.sample.seed = 0xfeedface;
     spec.runtime.sampleCalibLog2 = 4;
     spec.runtime.sampleForceLevel = 11;
     const obs::TraceMeta meta = wl::metaForSpec(spec);
@@ -730,7 +695,7 @@ TEST(SpecMeta, SamplingKnobsRoundTripThroughTheHeader)
     EXPECT_EQ(meta.sampleForceLevelP1, 12u); // -1=0 encoding, shifted
     const RunSpec rebuilt = wl::specFromTraceMeta(meta);
     EXPECT_EQ(rebuilt.runtime.overheadBudget, 25u);
-    EXPECT_EQ(rebuilt.runtime.sample.seed, 0xfeedfaceu);
+    EXPECT_EQ(rebuilt.runtime.checker.sample.seed, 0xfeedfaceu);
     EXPECT_EQ(rebuilt.runtime.sampleForceLevel, 11);
     EXPECT_EQ(wl::metaForSpec(rebuilt), meta);
 
@@ -807,20 +772,23 @@ TEST(ReplayRejection, WrongSchemaVersionIsBadVersion)
     const std::string path = tmpPath("wrong_version.cleantrace");
     recordRun(smallSpec("fft", 6, OnRacePolicy::Throw), path);
 
-    std::string bytes = readFileBytes(path);
+    const std::string bytes = readFileBytes(path);
     const std::string goodLine =
         "CLEANTRACE " + std::to_string(obs::kTraceSchemaVersion) + "\n";
     ASSERT_EQ(bytes.rfind(goodLine, 0), 0u);
-    bytes.replace(0, goodLine.size(),
-                  "CLEANTRACE " +
-                      std::to_string(obs::kTraceSchemaVersion + 1) + "\n");
-    writeFileBytes(path, bytes);
-
-    try {
-        obs::readTraceFile(path);
-        FAIL() << "expected a BadVersion fault";
-    } catch (const TraceError &e) {
-        EXPECT_EQ(e.fault(), TraceFault::BadVersion);
+    // A future version, and v3, the last one with a counter-chunk size.
+    for (const std::uint32_t version :
+         {obs::kTraceSchemaVersion + 1, std::uint32_t{3}}) {
+        std::string mutated = bytes;
+        mutated.replace(0, goodLine.size(),
+                        "CLEANTRACE " + std::to_string(version) + "\n");
+        writeFileBytes(path, mutated);
+        try {
+            obs::readTraceFile(path);
+            FAIL() << "expected a BadVersion fault for v" << version;
+        } catch (const TraceError &e) {
+            EXPECT_EQ(e.fault(), TraceFault::BadVersion) << "v" << version;
+        }
     }
     std::filesystem::remove(path);
 }

@@ -20,7 +20,7 @@ RuntimeConfig
 tinyClockConfig(unsigned clockBits = 8)
 {
     RuntimeConfig config;
-    config.epoch = EpochConfig{clockBits, 8};
+    config.checker.epoch = EpochConfig{clockBits, 8};
     config.maxThreads = 16;
     config.heap.sharedBytes = std::size_t{64} << 20;
     config.heap.privateBytes = std::size_t{16} << 20;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/machine.h"
 #include "workloads/runner.h"
 
@@ -95,9 +97,16 @@ TEST(Runner, FastTrackFindsNothingOnRaceFree)
 TEST(Runner, NativeIsFasterThanClean)
 {
     // The headline claim at miniature scale: instrumentation costs.
-    const auto native = runWorkload(spec(BackendKind::Native, "lu_cb"));
-    const auto clean = runWorkload(spec(BackendKind::Clean, "lu_cb"));
-    EXPECT_LT(native.seconds, clean.seconds);
+    // Both runs take milliseconds, so one scheduling hiccup could flip
+    // a single comparison; compare the best of five interleaved runs.
+    double native = 1e300, clean = 1e300;
+    for (int i = 0; i < 5; ++i) {
+        native = std::min(
+            native, runWorkload(spec(BackendKind::Native, "lu_cb")).seconds);
+        clean = std::min(
+            clean, runWorkload(spec(BackendKind::Clean, "lu_cb")).seconds);
+    }
+    EXPECT_LT(native, clean);
 }
 
 TEST(Runner, TraceFeedsTheSimulator)

@@ -321,7 +321,7 @@ TEST(Runtime, ThreadLimitIsEnforcedDeath)
 TEST(Runtime, WordGranularityRuntimeDetectsAndOrders)
 {
     RuntimeConfig config = smallConfig();
-    config.granuleLog2 = 2;
+    config.checker.granuleLog2 = 2;
     CleanRuntime rt(config);
     auto *x = rt.heap().allocSharedArray<int>(4);
     auto h = rt.spawn(rt.mainContext(), [&](ThreadContext &ctx) {
@@ -332,40 +332,36 @@ TEST(Runtime, WordGranularityRuntimeDetectsAndOrders)
     EXPECT_FALSE(rt.raceOccurred());
 }
 
-TEST(Runtime, DetChunkPreservesDeterminismAndCorrectness)
+TEST(Runtime, LockOrderWithUnevenDetTicksIsDeterministic)
 {
-    for (std::uint32_t chunk : {1u, 4u, 16u}) {
-        auto runOnce = [chunk] {
-            RuntimeConfig config = smallConfig();
-            config.detChunk = chunk;
-            CleanRuntime rt(config);
-            auto *order = rt.heap().allocSharedArray<int>(256);
-            auto *cursor = rt.heap().allocSharedArray<int>(1);
-            CleanMutex m(rt);
-            std::vector<ThreadHandle> handles;
-            for (int t = 0; t < 3; ++t) {
-                handles.push_back(rt.spawn(
-                    rt.mainContext(), [&, t](ThreadContext &ctx) {
-                        for (int i = 0; i < 40; ++i) {
-                            m.lock(ctx);
-                            const int at = ctx.read(&cursor[0]);
-                            ctx.write(&order[at], t);
-                            ctx.write(&cursor[0], at + 1);
-                            m.unlock(ctx);
-                            ctx.detTick((t + 1u) * (i % 3 + 1u));
-                        }
-                    }));
-            }
-            for (auto &h : handles)
-                rt.join(rt.mainContext(), h);
-            EXPECT_FALSE(rt.raceOccurred());
-            std::vector<int> result;
-            for (int i = 0; i < 120; ++i)
-                result.push_back(rt.mainContext().read(&order[i]));
-            return result;
-        };
-        EXPECT_EQ(runOnce(), runOnce()) << "detChunk=" << chunk;
-    }
+    auto runOnce = [] {
+        CleanRuntime rt(smallConfig());
+        auto *order = rt.heap().allocSharedArray<int>(256);
+        auto *cursor = rt.heap().allocSharedArray<int>(1);
+        CleanMutex m(rt);
+        std::vector<ThreadHandle> handles;
+        for (int t = 0; t < 3; ++t) {
+            handles.push_back(rt.spawn(
+                rt.mainContext(), [&, t](ThreadContext &ctx) {
+                    for (int i = 0; i < 40; ++i) {
+                        m.lock(ctx);
+                        const int at = ctx.read(&cursor[0]);
+                        ctx.write(&order[at], t);
+                        ctx.write(&cursor[0], at + 1);
+                        m.unlock(ctx);
+                        ctx.detTick((t + 1u) * (i % 3 + 1u));
+                    }
+                }));
+        }
+        for (auto &h : handles)
+            rt.join(rt.mainContext(), h);
+        EXPECT_FALSE(rt.raceOccurred());
+        std::vector<int> result;
+        for (int i = 0; i < 120; ++i)
+            result.push_back(rt.mainContext().read(&order[i]));
+        return result;
+    };
+    EXPECT_EQ(runOnce(), runOnce());
 }
 
 TEST(Runtime, DeterministicCountsStableAcrossRuns)

@@ -138,12 +138,13 @@ TEST(SampleGate, LevelForBudgetIsTheFailSafeColdStart)
                 100,
             static_cast<std::uint64_t>(budget) * 65536)
             << "budget " << budget;
-        if (level > 0)
+        if (level > 0) {
             EXPECT_GT(static_cast<std::uint64_t>(
                           SampleGate::admitPForLevel(level - 1)) *
                           100,
                       static_cast<std::uint64_t>(budget) * 65536)
                 << "budget " << budget;
+        }
     }
     // Monotone: a tighter budget never starts shallower.
     for (std::uint32_t b = 1; b < 100; ++b)

@@ -96,24 +96,21 @@ INSTANTIATE_TEST_SUITE_P(Kernels, ScheduleIndependent,
 
 TEST(WorkloadSemantics, CleanConfigurationsAgreeOnResults)
 {
-    // Vectorization, shadow backend, granularity and counter chunking
-    // are performance knobs: none may change the computed result.
+    // Vectorization, shadow backend, granularity and atomicity are
+    // performance knobs: none may change the computed result.
     const auto reference = runWorkload(spec("fft", BackendKind::Clean));
     ASSERT_FALSE(reference.raceException);
 
     auto noVec = spec("fft", BackendKind::Clean);
-    noVec.runtime.vectorized = false;
+    noVec.runtime.checker.vectorized = false;
     auto sparse = spec("fft", BackendKind::Clean);
     sparse.runtime.shadow = ShadowKind::Sparse;
     auto word = spec("fft", BackendKind::Clean);
-    word.runtime.granuleLog2 = 2;
-    auto chunked = spec("fft", BackendKind::Clean);
-    chunked.runtime.detChunk = 8;
+    word.runtime.checker.granuleLog2 = 2;
     auto locked = spec("fft", BackendKind::Clean);
-    locked.runtime.atomicity = AtomicityMode::Locked;
+    locked.runtime.checker.atomicity = AtomicityMode::Locked;
 
-    for (const auto *variant : {&noVec, &sparse, &word, &chunked,
-                                &locked}) {
+    for (const auto *variant : {&noVec, &sparse, &word, &locked}) {
         const auto result = runWorkload(*variant);
         ASSERT_FALSE(result.raceException) << result.raceMessage;
         EXPECT_EQ(result.outputHash, reference.outputHash);

@@ -204,8 +204,8 @@ runOne(std::uint64_t seed, const RunPlan &plan, unsigned threads,
         spec.runtime.overheadBudget = plan.budget;
         spec.runtime.sampleForceLevel = plan.forceLevel;
         // Short windows so shedding engages at Scale::Test run lengths.
-        spec.runtime.sample.windowLog2 = 6;
-        spec.runtime.sample.burstWindows = 1;
+        spec.runtime.checker.sample.windowLog2 = 6;
+        spec.runtime.checker.sample.burstWindows = 1;
     }
     spec.recordPath = recordPath;
     spec.replayPath = replayPath;

@@ -267,10 +267,6 @@ runMain(const Options &opts)
         if (opts.has("overhead-budget"))
             spec.runtime.overheadBudget = static_cast<std::uint32_t>(
                 opts.getInt("overhead-budget", 0));
-        // Not part of the trace header (drain placement does not shape
-        // the deterministic execution), so a replay may freely flip it.
-        if (opts.has("async-check"))
-            spec.runtime.asyncCheck = opts.getBool("async-check", false);
     }
     spec.recordPath = recordPath;
     if (!replayPath.empty())
@@ -284,24 +280,21 @@ runMain(const Options &opts)
     spec.params.racy = opts.getBool("racy", false);
     spec.params.seed =
         static_cast<std::uint64_t>(opts.getInt("seed", 0xc0ffee));
-    spec.runtime.vectorized = !opts.getBool("no-vectorize", false);
-    spec.runtime.fastPath = !opts.getBool("no-fast-path", false);
-    spec.runtime.ownCache = !opts.getBool("no-own-cache", false);
-    spec.runtime.batch = !opts.getBool("no-batch", false);
-    spec.runtime.asyncCheck = opts.getBool("async-check", false);
+    spec.runtime.checker.vectorized = !opts.getBool("no-vectorize", false);
+    spec.runtime.checker.fastPath = !opts.getBool("no-fast-path", false);
+    spec.runtime.checker.ownCache = !opts.getBool("no-own-cache", false);
+    spec.runtime.checker.batch = !opts.getBool("no-batch", false);
     if (opts.has("batch-bytes")) {
         const std::int64_t bb = opts.getInt("batch-bytes", 65536);
         if (bb < 64 || bb > (std::int64_t{1} << 30))
             fatal("--batch-bytes=%lld out of range (64..2^30)",
                   static_cast<long long>(bb));
-        spec.runtime.batchBytes = static_cast<std::size_t>(bb);
+        spec.runtime.checker.batchBytes = static_cast<std::size_t>(bb);
     }
-    spec.runtime.granuleLog2 =
+    spec.runtime.checker.granuleLog2 =
         static_cast<unsigned>(opts.getInt("granule-log2", 0));
-    spec.runtime.detChunk =
-        static_cast<std::uint32_t>(opts.getInt("det-chunk", 1));
     if (opts.getBool("locked-atomicity", false))
-        spec.runtime.atomicity = AtomicityMode::Locked;
+        spec.runtime.checker.atomicity = AtomicityMode::Locked;
     if (opts.getString("shadow", "linear") == "sparse")
         spec.runtime.shadow = ShadowKind::Sparse;
     const unsigned clockBits =
@@ -309,26 +302,26 @@ runMain(const Options &opts)
     if (clockBits < 4 || clockBits > 30)
         fatal("--clock-bits=%u out of range (4..30)", clockBits);
     const unsigned tidBits = std::min(8u, 31 - clockBits);
-    spec.runtime.epoch = EpochConfig{clockBits, tidBits};
+    spec.runtime.checker.epoch = EpochConfig{clockBits, tidBits};
     // Every live thread (workers + the main thread) needs a distinct
     // tid in `tidBits` bits, or epochs would silently mispack.
     const unsigned live = spec.params.threads + 1;
-    if (live > spec.runtime.epoch.maxThreads()) {
+    if (live > spec.runtime.checker.epoch.maxThreads()) {
         fatal("--clock-bits=%u leaves %u tid bits (at most %u live "
               "threads including main) but --threads=%u needs %u; "
               "lower --threads or --clock-bits",
               clockBits, tidBits,
-              static_cast<unsigned>(spec.runtime.epoch.maxThreads()),
+              static_cast<unsigned>(spec.runtime.checker.epoch.maxThreads()),
               spec.params.threads, live);
     }
-    if (spec.runtime.maxThreads > spec.runtime.epoch.maxThreads()) {
+    if (spec.runtime.maxThreads > spec.runtime.checker.epoch.maxThreads()) {
         // Loudly adapt the slot-table capacity to the narrower tid
         // space instead of tripping the runtime's assert.
         warn("--clock-bits=%u narrows the tid space: capping maxThreads "
              "%u -> %u",
              clockBits, static_cast<unsigned>(spec.runtime.maxThreads),
-             static_cast<unsigned>(spec.runtime.epoch.maxThreads()));
-        spec.runtime.maxThreads = spec.runtime.epoch.maxThreads();
+             static_cast<unsigned>(spec.runtime.checker.epoch.maxThreads()));
+        spec.runtime.maxThreads = spec.runtime.checker.epoch.maxThreads();
     }
     spec.runtime.onRace = parseOnRace(opts.getString("on-race", "throw"));
     spec.runtime.maxRecoveries =
